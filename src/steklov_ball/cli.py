@@ -4,11 +4,11 @@ lists, classical spectra, and the verification suites.
 Exit codes: 0 success, 1 failed verification, 2 invalid flags or
 parameters, 3 for the excluded parameter k^2 = 0.
 
-Every command is deterministic for fixed flags.  Sweep cells are
-evaluated by a thread pool but assembled in (l, k^2) order, so the
-output bytes do not depend on scheduling or --threads.  Resonant cells
-are marked with the explicit token RES; no command ever prints NaN or
-Inf.
+Every command is deterministic for fixed flags.  `eigs` and `sweep`
+evaluate their whole table in one vectorized pass of the eigenvalue
+kernel (`spectrum.eigen_grid`), and a cell's bytes do not depend on the
+rest of the table.  Resonant cells are marked with the explicit token
+RES; no command ever prints NaN or Inf.
 """
 
 from __future__ import annotations
@@ -18,22 +18,23 @@ import json
 import math
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 from typing import Callable
 
 import numpy as np
 
 from .classical import ball_steklov_spectrum
-from .errors import DirichletResonance, SteklovBallError
+from .errors import SteklovBallError
 from .resonances import bessel_zeros, family1_resonances, magnetic_zeros, neumann_zeros
-from .spectrum import lambda1, lambda2
+from .spectrum import eigen_grid
 from .verify import SUITE_NAMES, run_suites
 
 __all__ = ["main"]
 
 _KINDS = ("bessel", "neumann", "magnetic", "family1")
 _TABLE_HEADER = "family,l,theta,k2,lambda,status"
+_MAX_SAMPLES = 100_000
+_MAX_THREADS = 64
 
 
 def _fmt(x: float) -> str:
@@ -151,9 +152,9 @@ _OPTIONS: dict[str, list[_Opt]] = {
         _Opt("--family", _parse_int, 1, "eigenvalue family, 1 or 2"),
         _Opt("--l", _parse_int_range, (1, 10), "degree or range LO:HI"),
         _Opt("--k2", _parse_real_range, None, "k2 value or range LO:HI", required=True),
-        _Opt("--samples", _parse_int, 2001, "number of k2 samples"),
+        _Opt("--samples", _parse_int, 2001, f"number of k2 samples, 1..{_MAX_SAMPLES}"),
         _Opt("--theta", _parse_real, 1.0, "penalty parameter > 0"),
-        _Opt("--threads", _parse_int, None, "worker threads (default: STEKLOV_BALL_THREADS or 4)"),
+        _Opt("--threads", _parse_int, None, f"no effect; 1..{_MAX_THREADS} for old command lines"),
         *_COMMON,
     ],
     "zeros": [
@@ -264,26 +265,18 @@ def _emit(text: str, out: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _validate_family_theta(family: int, theta: float) -> None:
-    if family not in (1, 2):
-        raise SteklovBallError(f"--family must be 1 or 2, got {family}")
-    if not (theta > 0.0):
-        raise SteklovBallError(f"--theta must be positive, got {theta}")
-
-
 # ----------------------------------------------------------------------
 # Table assembly shared by eigs and sweep
 # ----------------------------------------------------------------------
 
 
-def _eig_cell(family: int, l: int, k2: float, theta: float) -> tuple[float | None, str]:
-    if k2 == 0.0:
-        return None, "RES"
-    try:
-        value = lambda1(l, k2, theta) if family == 1 else lambda2(l, k2)
-    except DirichletResonance:
-        return None, "RES"
-    return value, "OK"
+def _grid_rows(family: int, l_lo: int, l_hi: int, k2s: list[float], theta: float) -> list[tuple]:
+    values, ok = eigen_grid(family, l_lo, l_hi, k2s, theta)
+    rows = []
+    for l, row_values, row_ok in zip(range(l_lo, l_hi + 1), values.tolist(), ok.tolist()):
+        for k2, value, good in zip(k2s, row_values, row_ok):
+            rows.append((family, l, theta, k2, value if good else None, "OK" if good else "RES"))
+    return rows
 
 
 def _table_text(rows: list[tuple[int, int, float, float, float | None, str]], fmt: str) -> str:
@@ -310,50 +303,26 @@ def _table_text(rows: list[tuple[int, int, float, float, float | None, str]], fm
 
 
 def cmd_eigs(ns: argparse.Namespace) -> int:
-    _validate_family_theta(ns.family, ns.theta)
-    if ns.l_max < 1:
-        raise SteklovBallError(f"--l-max must be >= 1, got {ns.l_max}")
     if ns.k2 == 0.0:
         print("error: k2 = 0 is outside the eigenvalue problem's range", file=sys.stderr)
         return 3
-    rows = []
-    for l in range(1, ns.l_max + 1):
-        value, status = _eig_cell(ns.family, l, ns.k2, ns.theta)
-        rows.append((ns.family, l, ns.theta, ns.k2, value, status))
+    rows = _grid_rows(ns.family, 1, ns.l_max, [ns.k2], ns.theta)
     _emit(_table_text(rows, ns.format), ns.out)
     return 0
 
 
 def cmd_sweep(ns: argparse.Namespace) -> int:
-    _validate_family_theta(ns.family, ns.theta)
-    l_lo, l_hi = ns.l
-    if l_lo < 1:
-        raise SteklovBallError(f"--l degrees must be >= 1, got {l_lo}")
-    if ns.samples < 1:
-        raise SteklovBallError(f"--samples must be >= 1, got {ns.samples}")
+    given = os.environ.get("STEKLOV_BALL_THREADS", "4") if ns.threads is None else str(ns.threads)
+    if given not in {str(n) for n in range(1, _MAX_THREADS + 1)}:
+        raise SteklovBallError(f"--threads/STEKLOV_BALL_THREADS {given!r} not in 1..{_MAX_THREADS}")
+    if not (1 <= ns.samples <= _MAX_SAMPLES):
+        raise SteklovBallError(f"--samples must be in [1, {_MAX_SAMPLES}], got {ns.samples}")
     k2_lo, k2_hi = ns.k2
     if k2_lo == 0.0 and k2_hi == 0.0:
         print("error: k2 = 0 is outside the eigenvalue problem's range", file=sys.stderr)
         return 3
-    threads = ns.threads
-    if threads is None:
-        threads = int(os.environ.get("STEKLOV_BALL_THREADS", "4"))
-    if threads < 1:
-        raise SteklovBallError(f"--threads must be >= 1, got {threads}")
-
-    if ns.samples == 1:
-        k2_values = [k2_lo]
-    else:
-        k2_values = [float(v) for v in np.linspace(k2_lo, k2_hi, ns.samples)]
-    cells = [(l, k2) for l in range(l_lo, l_hi + 1) for k2 in k2_values]
-
-    def build(cell: tuple[int, float]) -> tuple[int, int, float, float, float | None, str]:
-        l, k2 = cell
-        value, status = _eig_cell(ns.family, l, k2, ns.theta)
-        return (ns.family, l, ns.theta, k2, value, status)
-
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        rows = list(pool.map(build, cells, chunksize=64))
+    k2_values = np.linspace(k2_lo, k2_hi, ns.samples).tolist()
+    rows = _grid_rows(ns.family, *ns.l, k2_values, ns.theta)
     _emit(_table_text(rows, ns.format), ns.out)
     return 0
 

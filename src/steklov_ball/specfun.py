@@ -3,8 +3,8 @@
 All routines here are self-contained (numpy for containers only) so that
 the rest of the package does not depend on any external special-function
 implementation.  Accuracy targets are near machine precision for
-0 <= l <= 200 and |z| <= 100, which comfortably covers every parameter
-range the eigenvalue routines ever request.
+0 <= l <= 200 and |z| <= 100, for the eigenfields, root scans and checks
+(the eigenvalues use the real continued fraction in `spectrum` instead).
 """
 
 from __future__ import annotations

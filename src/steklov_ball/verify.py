@@ -297,8 +297,8 @@ def _suite_resonances(ctx: _Context) -> list[Check]:
             scale = max(abs(a * solenoidal.e2(1.0)), abs(compressive.e2(1.0)))
             worst_boundary = max(worst_boundary, value / scale)
             # pole behavior on both sides
-            lo = spectrum._lambda1_raw(l, (root - 1e-4) ** 2, 1.0).real
-            hi = spectrum._lambda1_raw(l, (root + 1e-4) ** 2, 1.0).real
+            lo = spectrum.lambda1(l, (root - 1e-4) ** 2, 1.0)
+            hi = spectrum.lambda1(l, (root + 1e-4) ** 2, 1.0)
             if not (lo * hi < 0.0 or min(abs(lo), abs(hi)) > 1e4):
                 worst_pole_gap = max(worst_pole_gap, 1.0)
         for root in resonances.bessel_zeros(l, 3).roots:

@@ -18,6 +18,7 @@ import pytest
 jsonschema = pytest.importorskip("jsonschema")
 
 import steklov_ball
+from steklov_ball.cli import _table_text
 
 SCHEMAS = json.loads(
     (Path(steklov_ball.__file__).parent / "schemas" / "output_schemas.json").read_text()
@@ -89,10 +90,27 @@ def test_invalid_flags_exit_2():
         ["eigs", "--family", "1", "--l-max", "0", "--k2", "1"],
         ["zeros", "--kind", "unknown", "--l", "1"],
         ["verify", "--suite", "not-a-suite"],
+        ["eigs", "--l-max", "201", "--k2", "1"],
+        ["eigs", "--l-max", "1", "--k2", "1e11"],
+        ["sweep", "--l", "1:2", "--k2", "1:2", "--samples", "0"],
+        ["sweep", "--l", "1:2", "--k2", "1:2", "--samples", "100001"],
+        ["sweep", "--l", "1:2", "--k2", "1:2", "--samples", "5", "--threads", "0"],
+        ["sweep", "--l", "1:2", "--k2", "1:2", "--samples", "5", "--threads", "65"],
     ):
         r = run_cli(*args)
         assert r.returncode == 2, args
         assert r.stderr.strip() != ""
+        assert "Traceback" not in r.stderr
+
+
+def test_thread_environment_is_validated():
+    # The sweep is single-threaded; the variable is range-checked only.
+    args = ["sweep", "--l", "1:2", "--k2", "1:2", "--samples", "5"]
+    for value in ("abc", "0", "1000"):
+        r = run_cli(*args, env_extra={"STEKLOV_BALL_THREADS": value})
+        assert r.returncode == 2, value
+        assert "STEKLOV_BALL_THREADS" in r.stderr or "--threads" in r.stderr
+        assert "Traceback" not in r.stderr
 
 
 def test_negative_values_accepted_after_flag():
@@ -115,6 +133,91 @@ def test_sweep_single_sample_matches_eigs():
     row_sweep = r1.stdout.strip().splitlines()[1]
     row_eigs = r2.stdout.strip().splitlines()[2]  # l = 2 row
     assert row_sweep == row_eigs
+
+
+def test_eigs_tiny_k2_prints_no_nan():
+    r = run_cli("eigs", "--k2", "1e-300", "--l-max", "2")
+    assert r.returncode == 0
+    assert "nan" not in r.stdout.lower()
+    values = [float(line.split(",")[4]) for line in r.stdout.strip().splitlines()[1:]]
+    assert values == pytest.approx([-5.0 / 3.0, -2.8], rel=1e-15)
+    r = run_cli("eigs", "--k2", "1e-300", "--l-max", "2", "--format", "json")
+    assert r.returncode == 0
+    validate(json.loads(r.stdout), "table")
+
+
+def test_eigs_large_negative_k2_and_high_degree():
+    r = run_cli("eigs", "--family", "2", "--k2=-1e6", "--l-max", "2")
+    assert r.returncode == 0, r.stderr
+    row = r.stdout.strip().splitlines()[2].split(",")
+    assert row[5] == "OK"
+    assert float(row[4]) == pytest.approx(-1000.0030029999909729, rel=1e-14)
+    r = run_cli("eigs", "--family", "2", "--k2", "1", "--l-max", "200")
+    assert r.returncode == 0, r.stderr
+    rows = [line.split(",") for line in r.stdout.strip().splitlines()[1:]]
+    assert len(rows) == 200 and all(row[5] == "OK" for row in rows)
+    assert float(rows[198][4]) == pytest.approx(-199.99750621898234379, rel=1e-14)
+
+
+def test_cell_bytes_do_not_depend_on_the_table():
+    # A cell evaluated alone by eigs prints the same bytes as inside a
+    # wider sweep window and degree block.
+    r = run_cli("sweep", "--family", "1", "--l", "2:9", "--k2", "-3000:7000",
+                "--samples", "41", "--theta", "0.5")
+    assert r.returncode == 0
+    rows = r.stdout.strip().splitlines()[1:]
+    for index in (41 * 2 + 3, 41 * 2 + 13, 41 * 2 + 40):  # l = 4 at three k2
+        row = rows[index]
+        k2 = row.split(",")[3]
+        alone = run_cli("eigs", "--family", "1", "--l-max", "4", "--k2", k2, "--theta", "0.5")
+        assert alone.returncode == 0
+        assert alone.stdout.strip().splitlines()[4] == row
+
+
+def test_table_text_golden_bytes():
+    # CSV uses .17g; JSON keeps json.dumps(indent=2) with repr floats.
+    rows = [
+        (1, 1, 1.0, -100.0, -1.3796666252553651, "OK"),
+        (1, 2, 0.5, 0.1, None, "RES"),
+        (2, 10, 2.0, 1e-300, 12345678.901234567, "OK"),
+    ]
+    assert _table_text(rows, "csv") == (
+        "family,l,theta,k2,lambda,status\n"
+        "1,1,1,-100,-1.3796666252553651,OK\n"
+        "1,2,0.5,0.10000000000000001,,RES\n"
+        "2,10,2,1e-300,12345678.901234567,OK\n"
+    )
+    assert _table_text(rows, "json") == """{
+  "rows": [
+    {
+      "family": 1,
+      "l": 1,
+      "theta": 1.0,
+      "k2": -100.0,
+      "lambda": -1.379666625255365,
+      "status": "OK"
+    },
+    {
+      "family": 1,
+      "l": 2,
+      "theta": 0.5,
+      "k2": 0.1,
+      "lambda": null,
+      "status": "RES"
+    },
+    {
+      "family": 2,
+      "l": 10,
+      "theta": 2.0,
+      "k2": 1e-300,
+      "lambda": 12345678.901234567,
+      "status": "OK"
+    }
+  ]
+}
+"""
+    assert _table_text([], "csv") == "family,l,theta,k2,lambda,status\n"
+    assert _table_text([], "json") == '{\n  "rows": []\n}\n'
 
 
 def test_sweep_thread_count_invariance():

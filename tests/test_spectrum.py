@@ -45,7 +45,8 @@ from steklov_ball import (
     verify_weak_identity,
     zero_in_spectrum,
 )
-from steklov_ball import fd
+from steklov_ball import fd, spectrum
+from steklov_ball.spectrum import eigen_grid
 
 # (l, k2, lambda2) -- mpmath, 40 digits
 LAMBDA2_ORACLE = [
@@ -118,6 +119,87 @@ def test_lambda_validation():
         lambda1(1, 0.0, 1.0)
     with pytest.raises(DomainError):
         lambda1(1, 1.0, 0.0)
+
+
+# Inputs on which the complex Bessel-product evaluation failed; values
+# from mpmath, 50 digits.
+def test_lambda1_small_k2_is_finite_not_resonant():
+    # The limit as k^2 -> 0 is -l (2l+3) / (l + (l+1)/theta) = -5/3 here.
+    assert lambda1(1, 1e-12, 1.0) == pytest.approx(-1.6666666666663968254, rel=1e-14)
+    assert lambda1(1, 1e-300, 1.0) == pytest.approx(-5.0 / 3.0, rel=1e-15)
+
+
+def test_lambda2_large_negative_k2():
+    # |Im k| = 1000 overflowed the complex towers.
+    assert lambda2(2, -1e6) == pytest.approx(-1000.0030029999909729, rel=1e-14)
+
+
+@pytest.mark.parametrize(
+    "l,want",
+    [
+        (157, -157.99684539467147794),
+        (180, -180.99724515827116273),
+        (199, -199.99750621898234379),
+        (200, -200.99751859521845519),
+    ],
+)
+def test_lambda2_high_degree(l, want):
+    # j_l underflowed from l = 157 at k^2 = 1, and l = 200 needed j_201.
+    assert lambda2(l, 1.0) == pytest.approx(want, rel=1e-14)
+    assert math.isfinite(lambda1(l, 1.0, 0.5))
+
+
+def test_exact_bessel_zero_on_the_recurrence_is_removable():
+    # At this k^2 the continued fraction hits rho_4 = z j_4 / j_5 = 0.0
+    # exactly, so rho_3 is infinite in IEEE arithmetic.
+    z2 = 66.9543119251048
+    assert spectrum._ratio(4, z2) == 0.0
+    assert lambda2(3, z2) == pytest.approx(-4.0000000000000006609, rel=1e-14)
+    assert lambda1(3, z2, 0.5) == pytest.approx(47.697725954894709718, rel=1e-13)
+    assert lambda1(3, 2.0 * z2, 2.0) == pytest.approx(82.55772792964937161, rel=1e-13)
+    assert abs(lambda1(4, z2, 0.5)) <= 1e-12  # removable zero where j_4(k) = 0
+    with pytest.raises(DirichletResonance):
+        lambda1(3, z2, 1.0)  # theta = 1: a zero of j_{l+1}(k) is a pole
+    with pytest.raises(DirichletResonance):
+        lambda2(4, z2)
+
+
+def test_eigen_grid_matches_scalar_bitwise():
+    pole = bessel_zeros(3, 1).roots[0] ** 2  # family 2, l = 3
+    k2s = np.concatenate([np.linspace(-120.0, 120.0, 97), [-5e5, -3.3e-9, 1e-300, 7e4, 2.5e5, pole]])
+    for family, theta, l_lo, l_hi in ((1, 1.0, 1, 6), (1, 0.5, 3, 9), (1, 2.0, 1, 4), (2, 1.0, 2, 7)):
+        values, ok = eigen_grid(family, l_lo, l_hi, k2s, theta)
+        assert values.shape == ok.shape == (l_hi - l_lo + 1, k2s.size)
+        for i, l in enumerate(range(l_lo, l_hi + 1)):
+            for j, k2 in enumerate(k2s.tolist()):
+                if k2 == 0.0:
+                    assert not ok[i, j]
+                    continue
+                try:
+                    want = lambda1(l, k2, theta) if family == 1 else lambda2(l, k2)
+                except DirichletResonance:
+                    assert not ok[i, j] and math.isnan(values[i, j])
+                    continue
+                assert ok[i, j] and values[i, j] == want, (family, theta, l, k2)
+    assert not ok[1, -1]  # the family-2 pole
+
+
+def test_eigen_grid_marks_zero_k2_and_validates():
+    values, ok = eigen_grid(1, 1, 2, [-1.0, 0.0, 1.0])
+    assert ok.tolist() == [[True, False, True], [True, False, True]]
+    assert np.isnan(values[:, 1]).all()
+    with pytest.raises(InvalidMode):
+        eigen_grid(3, 1, 2, [1.0])
+    with pytest.raises(InvalidMode):
+        eigen_grid(2, 1, 201, [1.0])
+    with pytest.raises(InvalidMode):
+        eigen_grid(2, 1, 2, [1.0, float("nan")])
+    with pytest.raises(DomainError):
+        eigen_grid(1, 1, 2, [1e9], theta=0.01)  # |k2/theta| above 1e10
+    with pytest.raises(InvalidMode):
+        lambda2(201, 1.0)
+    with pytest.raises(DomainError):
+        lambda2(1, -2e10)
 
 
 def test_lambda2_dirichlet_resonance():
