@@ -328,8 +328,6 @@ def cmd_sweep(ns: argparse.Namespace) -> int:
 
 
 def cmd_zeros(ns: argparse.Namespace) -> int:
-    if ns.kind == "family1" and not (ns.theta > 0.0):
-        raise SteklovBallError(f"--theta must be positive, got {ns.theta}")
     if ns.kind == "bessel":
         roots = bessel_zeros(ns.l, ns.count)
     elif ns.kind == "neumann":

@@ -11,12 +11,29 @@ The squared roots of the first and last sets are Dirichlet eigenvalues
 of the interior operator, where the Steklov eigenvalue formulas break
 down; the middle two certify 0 as a Steklov eigenvalue.
 
-Everything is scan-and-bisect: a fixed scan step of pi/8 cannot jump
-over two consecutive zeros of these Bessel-type functions (their zero
-spacing exceeds pi asymptotically and never falls below ~pi/2 in the
-ranges used), and bisection needs no derivatives.  Only simple zeros
-are found; an even-order zero would be invisible to sign changes, but
-the targeted functions have none.
+Everything goes through one scan-and-bisect loop, `_scan`, over a
+window (lo, hi] whose ends are proven (DLMF 10.21):
+
+* lo is a lower bound for the first positive root: l for j_l, since
+  j_{l+1/2,1} > l + 1/2; sqrt(l(l+1)) for j_l' and for (x j_l)' =
+  j_l + x j_l', since neither j_l nor x j_l can have a maximum before
+  its turning point; (l-1) min(1, sqrt(theta)) for D.  Below its first
+  root j_l may underflow to 0.0, so starting there also keeps
+  underflow from passing as a root.
+* hi, for the first `count` roots, is (count + l + 1) pi + 20: by
+  interlacing j_{l+1/2,k} < j_{1/2,k+l} = (k+l) pi, the k-th zeros of
+  j_l' and of j_l + x j_l' lie below the k-th zero of j_l, and the
+  roots of D tend to zeros of j_{l-1} and j_{l+1}.  ScanExhausted
+  stays as the guard.
+
+A scan step of pi/8 cannot jump over two consecutive zeros of the
+single-Bessel functions (their spacing exceeds pi/2 beyond the turning
+point).  D mixes periods pi and pi sqrt(theta) in k, and its roots pair
+up with a gap near (2l+1)/k (below pi/8 from k = 9 at l = 1, theta =
+1), so its step at scan point k is min(pi/8, pi sqrt(theta)/8,
+(2l+1)/(2k)) and no pair can hide in one bracket.  Bisection needs no
+derivatives.  Only simple zeros are found; an even-order zero would be
+invisible to sign changes, but the targeted functions have none.
 """
 
 from __future__ import annotations
@@ -26,7 +43,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 from .errors import DomainError, InvalidMode, ScanExhausted
-from .specfun import sph_bessel_j_all
+from .specfun import _L_MAX, sph_bessel_j_all
 
 __all__ = [
     "RootList",
@@ -64,14 +81,10 @@ class RootList:
 
 
 def _bisect(f: Callable[[float], float], lo: float, hi: float, flo: float, fhi: float) -> float:
-    """Bisection of a bracketed sign change, to width 1e-15 * max(1, hi)
-    or one ulp, whichever is reached first; returns the endpoint with
-    the smaller |f|."""
-    width = 1e-15 * max(1.0, hi)
-    while hi - lo > width:
-        mid = 0.5 * (lo + hi)
-        if mid <= lo or mid >= hi:
-            break
+    """Bisection of a bracketed sign change down to adjacent floats;
+    returns the endpoint with the smaller |f|."""
+    mid = 0.5 * (lo + hi)
+    while lo < mid < hi:
         fmid = f(mid)
         if fmid == 0.0:
             return mid
@@ -79,171 +92,179 @@ def _bisect(f: Callable[[float], float], lo: float, hi: float, flo: float, fhi: 
             lo, flo = mid, fmid
         else:
             hi, fhi = mid, fmid
+        mid = 0.5 * (lo + hi)
     return lo if abs(flo) <= abs(fhi) else hi
 
 
-def _scan_roots(
+def _scan(
     f: Callable[[float], float],
-    count: int,
-    step: float = _STEP,
+    lo: float,
+    hi: float,
+    count: int | None = None,
+    step: float | Callable[[float], float] = _STEP,
     noise_floor: float = 0.0,
     keep: Callable[[float], bool] | None = None,
 ) -> tuple[list[float], list[float]]:
-    """First `count` positive roots of f by sign-change scan from `step`.
+    """The first `count` roots of f in (lo, hi], or all of them when
+    `count` is None, with their residuals |f(root)|.
 
-    Brackets where both endpoint values are below `noise_floor` in
-    magnitude are skipped (guards scaled functions whose leading order
-    cancels as x -> 0).  Roots rejected by `keep` are discarded without
-    counting.  Raises ScanExhausted when the window (0, count*pi + 20]
-    runs out first.
+    Sign-change scan from lo (from the first step when lo is 0, where
+    the scanned functions are 0/0 or trivially zero), with a fixed step
+    or a step given as a function of the scan point.  Brackets where
+    both endpoint values are below `noise_floor` in magnitude are
+    skipped (guards scaled functions whose leading order cancels as
+    x -> 0).  Roots rejected by `keep` are discarded without counting.
+    Raises ScanExhausted when fewer than `count` roots lie in the window.
     """
-    ceiling = count * math.pi + 20.0
+    advance = step if callable(step) else (lambda x: step)
     roots: list[float] = []
     residuals: list[float] = []
-    index = 1
-    a = step
-    fa = f(a)
-    while len(roots) < count:
-        index += 1
-        b = index * step
-        if b > ceiling:
-            raise ScanExhausted(
-                f"found {len(roots)} of {count} roots below {ceiling:.3f}"
-            )
+    a = lo if lo > 0.0 else advance(0.0)
+    fa = f(a) if a < hi else 0.0
+    while a < hi and (count is None or len(roots) < count):
+        b = a + advance(a)
         fb = f(b)
         skip = noise_floor > 0.0 and abs(fa) < noise_floor and abs(fb) < noise_floor
         if not skip and (fa == 0.0 or (fa < 0.0) != (fb < 0.0)):
             root = a if fa == 0.0 else _bisect(f, a, b, fa, fb)
-            if keep is None or keep(root):
+            if root <= hi and (keep is None or keep(root)):
                 roots.append(root)
                 residuals.append(abs(f(root)))
         a, fa = b, fb
+    if count is not None and len(roots) < count:
+        raise ScanExhausted(f"found {len(roots)} of {count} roots below {hi:.3f}")
     return roots, residuals
 
 
 def _jl_pair(l: int, x: float) -> tuple[float, float]:
-    tab = sph_bessel_j_all(l + 1, complex(x))
+    tab = sph_bessel_j_all(max(l, 1), complex(x))
     jl = tab[l].real
     jlp = (-tab[1] if l == 0 else tab[l - 1] - (l + 1) / complex(x) * tab[l]).real
     return jl, jlp
 
 
+def _family1(
+    l: int, theta: float
+) -> tuple[Callable[[float], float], float, Callable[[float], float], Callable[[float], bool]]:
+    """Scan arguments for the family-1 denominator
+
+        D(k) = j_l(q) j_l(k) l(l+1) - j_l'(q) j_l'(k) k^2/sqrt(theta)
+                                    - j_l'(q) j_l(k) k/sqrt(theta),
+
+    q = k/sqrt(theta): the term-scaled form D/(|t1|+|t2|+|t3|), the
+    lower bound of its first root, the local step and the filter that
+    drops roots at zeros of j_l(k) itself, where the eigenfield
+    combination is undefined (and the eigenvalue has a removable zero,
+    not a pole)."""
+    sq = math.sqrt(theta)
+    big_l = l * (l + 1)
+    cap = min(_STEP, _STEP * sq)
+
+    def scaled_den(k: float) -> float:
+        jk, jkp = _jl_pair(l, k)
+        jq, jqp = (jk, jkp) if theta == 1.0 else _jl_pair(l, k / sq)
+        t1 = jq * jk * big_l
+        t2 = -jqp * jkp * k * k / sq
+        t3 = -jqp * jk * k / sq
+        scale = abs(t1) + abs(t2) + abs(t3)
+        return (t1 + t2 + t3) / scale if scale else 0.0
+
+    def step(k: float) -> float:
+        return min(cap, (2 * l + 1) / (2.0 * k)) if k > 0.0 else cap
+
+    def off_bessel_zero(k: float) -> bool:
+        jk, jkp = _jl_pair(l, k)
+        return abs(jk) >= 1e-12 * max(1.0, abs(k * jkp))
+
+    return scaled_den, (l - 1) * min(1.0, sq), step, off_bessel_zero
+
+
+def _roots(
+    kind: str, l: int, hi: float, count: int | None = None, theta: float = 1.0, above: float = 0.0
+) -> tuple[list[float], list[float]]:
+    """`_scan` of one tagged function over (max(lo, above), hi], lo the
+    lower bound of its first positive root."""
+    if kind == "family1":
+        den, lo, step, keep = _family1(l, theta)
+        return _scan(den, max(lo, above), hi, count, step=step, noise_floor=1e-9, keep=keep)
+    if kind == "bessel":
+        return _scan(lambda x: _jl_pair(l, x)[0], max(l, above), hi, count)
+    turning = max(math.sqrt(l * (l + 1)), above)
+    if kind == "neumann":
+        return _scan(lambda x: _jl_pair(l, x)[1], turning, hi, count)
+
+    def magnetic(x: float) -> float:
+        jl, jlp = _jl_pair(l, x)
+        return jl + x * jlp
+
+    return _scan(magnetic, turning, hi, count)
+
+
 def _validate_counts(l: int, count: int, l_min: int) -> None:
-    if not isinstance(l, int) or isinstance(l, bool) or l < l_min:
-        raise InvalidMode(f"degree l must be an integer >= {l_min}, got {l!r}")
+    if not isinstance(l, int) or isinstance(l, bool) or not l_min <= l <= _L_MAX:
+        raise InvalidMode(f"degree l must be an integer in [{l_min}, {_L_MAX}], got {l!r}")
     if not isinstance(count, int) or isinstance(count, bool) or count < 1:
         raise DomainError(f"count must be a positive integer, got {count!r}")
     if count > 100:
         raise DomainError(f"count must be <= 100, got {count}")
 
 
+def _check_theta(theta: float) -> float:
+    if isinstance(theta, complex) or not (0.0 < float(theta) < math.inf):
+        raise DomainError(f"theta must be positive and finite, got {theta!r}")
+    return float(theta)
+
+
+def _check_query(k2: float, theta: float, l_max: int) -> tuple[float, float]:
+    """The arguments of exclusion_check and zero_in_spectrum: an integer
+    l_max in 0..200, a positive finite theta and a real k^2 with |k^2|
+    and |k^2/theta| at most 1e10, the eigenvalue kernel's bound (beyond
+    about 1e31 a scan step would no longer advance the scan point)."""
+    if not isinstance(l_max, int) or isinstance(l_max, bool) or not 0 <= l_max <= _L_MAX:
+        raise InvalidMode(f"l_max must be an integer in [0, {_L_MAX}], got {l_max!r}")
+    theta = _check_theta(theta)
+    if isinstance(k2, complex) or not abs(float(k2)) <= 1e10 * min(1.0, theta):
+        raise DomainError(f"k2 must be real with |k2| and |k2/theta| at most 1e10, got {k2!r}")
+    return float(k2), theta
+
+
+def _counted(kind: str, l: int, count: int, theta: float | None = None) -> RootList:
+    hi = (count + l + 1) * math.pi + 20.0
+    roots, residuals = _roots(kind, l, hi, count, 1.0 if theta is None else theta)
+    return RootList(kind, l, theta, tuple(roots), tuple(residuals))
+
+
 def bessel_zeros(l: int, count: int) -> RootList:
     """First `count` positive zeros of j_l."""
     _validate_counts(l, count, l_min=0)
-    roots, residuals = _scan_roots(lambda x: _jl_pair(l, x)[0], count)
-    return RootList("bessel", l, None, tuple(roots), tuple(residuals))
+    return _counted("bessel", l, count)
 
 
 def neumann_zeros(l: int, count: int) -> RootList:
     """First `count` positive zeros of j_l'.  Their squares are Neumann
     eigenvalues of the ball Laplacian at this degree."""
     _validate_counts(l, count, l_min=1)
-    roots, residuals = _scan_roots(lambda x: _jl_pair(l, x)[1], count)
-    return RootList("neumann", l, None, tuple(roots), tuple(residuals))
+    return _counted("neumann", l, count)
 
 
 def magnetic_zeros(l: int, count: int) -> RootList:
     """First `count` positive zeros of x -> j_l(x) + x j_l'(x), the
     boundary combination whose vanishing makes the family-2 eigenvalue
-    zero.  Near 0 the function behaves like (l+1) x^l / (2l+1)!!, so it
-    is positive before its first root and the scan start loses nothing."""
+    zero."""
     _validate_counts(l, count, l_min=1)
-
-    def f(x: float) -> float:
-        jl, jlp = _jl_pair(l, x)
-        return jl + x * jlp
-
-    roots, residuals = _scan_roots(f, count)
-    return RootList("magnetic", l, None, tuple(roots), tuple(residuals))
+    return _counted("magnetic", l, count)
 
 
 def family1_resonances(l: int, theta: float, count: int) -> RootList:
-    """First `count` positive zeros in k of the family-1 denominator
-
-        D(k) = j_l(q) j_l(k) l(l+1) - j_l'(q) j_l'(k) k^2/sqrt(theta)
-                                    - j_l'(q) j_l(k) k/sqrt(theta),
-
-    q = k/sqrt(theta), scanned on the term-scaled form D/(|t1|+|t2|+|t3|).
-    The leading orders of the three terms cancel exactly as k -> 0, so
-    brackets where the scaled value sits below 1e-9 at both ends are
-    treated as noise, not sign changes.  Roots at which j_l(k) itself
-    vanishes are deflated away: there the eigenfield combination is
-    undefined (and the eigenvalue has a removable zero, not a pole).
-
-    Unlike the single-Bessel root sets, D mixes two oscillation scales
-    (periods pi and pi*sqrt(theta) in k) whose zeros pair up ever more
-    tightly as k grows: at theta = 1 the gap inside a pair shrinks like
-    (2l+1)/k, already below pi/8 around k = 9 for l = 1.  The scan step
-    is therefore tied to the window so no pair can hide in one bracket.
+    """First `count` positive zeros in k of the family-1 denominator D
+    (see `_family1`), scanned on its term-scaled form.  The leading
+    orders of the three terms cancel exactly as k -> 0, so brackets
+    where the scaled value sits below 1e-9 at both ends are treated as
+    noise, not sign changes.  Roots at which j_l(k) itself vanishes are
+    deflated away.
     """
     _validate_counts(l, count, l_min=1)
-    if isinstance(theta, complex) or not (float(theta) > 0.0):
-        raise DomainError(f"theta must be positive, got {theta!r}")
-    theta = float(theta)
-    sq = math.sqrt(theta)
-    big_l = l * (l + 1)
-    ceiling = count * math.pi + 20.0
-    step = min(_STEP, math.pi * sq / 8.0, (2 * l + 1) / (2.0 * ceiling))
-
-    def scaled_den(k: float) -> float:
-        jk, jkp = _jl_pair(l, k)
-        if theta == 1.0:
-            jq, jqp = jk, jkp
-        else:
-            jq, jqp = _jl_pair(l, k / sq)
-        t1 = jq * jk * big_l
-        t2 = -jqp * jkp * k * k / sq
-        t3 = -jqp * jk * k / sq
-        scale = abs(t1) + abs(t2) + abs(t3)
-        if scale == 0.0:
-            return 0.0
-        return (t1 + t2 + t3) / scale
-
-    def off_bessel_zero(k: float) -> bool:
-        jk, jkp = _jl_pair(l, k)
-        return abs(jk) >= 1e-12 * max(1.0, abs(k * jkp))
-
-    roots, residuals = _scan_roots(
-        scaled_den, count, step=step, noise_floor=1e-9, keep=off_bessel_zero
-    )
-    return RootList("family1", l, theta, tuple(roots), tuple(residuals))
-
-
-def _roots_below(
-    f: Callable[[float], float],
-    ceiling: float,
-    step: float = _STEP,
-    noise_floor: float = 0.0,
-    keep: Callable[[float], bool] | None = None,
-) -> list[float]:
-    """All roots of f in (0, ceiling], by the same scan-and-bisect used
-    for the counted lists but with an explicit ceiling and no shortfall
-    error; for neighborhood queries rather than enumeration."""
-    roots: list[float] = []
-    index = 1
-    a = step
-    fa = f(a)
-    while a < ceiling:
-        index += 1
-        b = index * step
-        fb = f(b)
-        skip = noise_floor > 0.0 and abs(fa) < noise_floor and abs(fb) < noise_floor
-        if not skip and (fa == 0.0 or (fa < 0.0) != (fb < 0.0)):
-            root = a if fa == 0.0 else _bisect(f, a, b, fa, fb)
-            if root <= ceiling and (keep is None or keep(root)):
-                roots.append(root)
-        a, fa = b, fb
-    return roots
+    return _counted("family1", l, count, _check_theta(theta))
 
 
 def exclusion_check(k2: float, theta: float, l_max: int) -> tuple[bool, float]:
@@ -251,71 +272,22 @@ def exclusion_check(k2: float, theta: float, l_max: int) -> tuple[bool, float]:
     degrees 1..l_max) by more than 1e-6; also returns the nearest
     resonance square.
 
-    Roots are gathered only in a neighborhood of |k2| (up to
-    sqrt(max(k2, 0)) + pi + 1): any root beyond that ceiling has its
-    square further from k2 than (pi + 1)^2, so it can neither spoil
-    clearance nor beat an in-neighborhood candidate; degrees whose
-    first root provably exceeds the ceiling are skipped outright.
-    Both vector families start at l = 1, so l_max < 1 means there is
-    nothing to collide with and the result is (True, inf).
+    Roots are gathered only up to sqrt(max(k2, 0)) + pi + 1: any root
+    beyond that ceiling has its square further from k2 than (pi + 1)^2,
+    so it can neither spoil clearance nor beat a root below it; degrees
+    whose first root provably exceeds the ceiling scan nothing.  Both
+    vector families start at l = 1, so l_max = 0 means there is nothing
+    to collide with and the result is (True, inf).
     """
-    k2 = float(k2)
+    k2, theta = _check_query(k2, theta, l_max)
     if k2 == 0.0:
         raise InvalidMode("k2 must be nonzero")
-    if isinstance(theta, complex) or not (float(theta) > 0.0):
-        raise DomainError(f"theta must be positive, got {theta!r}")
-    theta = float(theta)
-    if l_max < 1:
-        return True, math.inf
-
-    sq = math.sqrt(theta)
-    big_ratio = min(1.0, sq)
-    reach = math.sqrt(max(k2, 0.0))
-    ceiling = reach + math.pi + 1.0
-    fine = min(_STEP, math.pi * sq / 8.0, (2 * l_max + 1) / (2.0 * ceiling))
-    big_l_cache: dict[int, tuple[Callable[[float], float], Callable[[float], bool]]] = {}
-
-    def make_den(l: int) -> tuple[Callable[[float], float], Callable[[float], bool]]:
-        if l not in big_l_cache:
-            big_l = l * (l + 1)
-
-            def scaled_den(k: float, l: int = l, big_l: int = big_l) -> float:
-                jk, jkp = _jl_pair(l, k)
-                if theta == 1.0:
-                    jq, jqp = jk, jkp
-                else:
-                    jq, jqp = _jl_pair(l, k / sq)
-                t1 = jq * jk * big_l
-                t2 = -jqp * jkp * k * k / sq
-                t3 = -jqp * jk * k / sq
-                scale = abs(t1) + abs(t2) + abs(t3)
-                return (t1 + t2 + t3) / scale if scale else 0.0
-
-            def off_bessel(k: float, l: int = l) -> bool:
-                jk, jkp = _jl_pair(l, k)
-                return abs(jk) >= 1e-12 * max(1.0, abs(k * jkp))
-
-            big_l_cache[l] = (scaled_den, off_bessel)
-        return big_l_cache[l]
-
-    nearest = math.inf
-    best = math.inf
-    for l in range(1, l_max + 1):
-        squares: list[float] = []
-        # First zero of j_l exceeds l; first family-1 root exceeds
-        # (l - 1) times min(1, sqrt(theta)) (an argument must pass its
-        # turning point before D can oscillate).
-        if (l - 1) * big_ratio <= ceiling:
-            den, off = make_den(l)
-            squares += [
-                r * r
-                for r in _roots_below(den, ceiling, step=fine, noise_floor=1e-9, keep=off)
-            ]
-        if l <= ceiling:
-            squares += [r * r for r in _roots_below(lambda x: _jl_pair(l, x)[0], ceiling)]
-        for square in squares:
-            distance = abs(k2 - square)
-            if distance < best:
-                best = distance
-                nearest = square
-    return best > 1e-6, nearest
+    ceiling = math.sqrt(max(k2, 0.0)) + math.pi + 1.0
+    squares = [
+        root * root
+        for l in range(1, l_max + 1)
+        for kind in ("family1", "bessel")
+        for root in _roots(kind, l, ceiling, theta=theta)[0]
+    ]
+    nearest = min(squares, key=lambda square: abs(k2 - square), default=math.inf)
+    return abs(k2 - nearest) > 1e-6, nearest

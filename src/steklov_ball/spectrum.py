@@ -46,7 +46,7 @@ from .harmonics import (
     vector_A,
 )
 from .radial import RadialFunction, RadialKind, RadialPair, bessel_operator, radial_profiles
-from .resonances import magnetic_zeros, neumann_zeros
+from .resonances import _check_query, _check_theta, _roots
 from .specfun import _L_MAX, gauss_legendre, sph_bessel_j_all
 
 __all__ = [
@@ -79,12 +79,11 @@ def _validate_eig_args(l: int, k2: float, theta: float = 1.0) -> tuple[float, fl
     k2 = float(k2)
     if not math.isfinite(k2) or k2 == 0.0:
         raise InvalidMode(f"k2 must be finite and nonzero, got {k2!r}")
-    if isinstance(theta, complex) or not (0.0 < float(theta) < math.inf):
-        raise DomainError(f"theta must be positive and finite, got {theta!r}")
+    theta = _check_theta(theta)
     # The continued fraction starts above |k| and |q|, so both are bounded.
-    if max(abs(k2), abs(k2) / float(theta)) > 1e10:
+    if max(abs(k2), abs(k2) / theta) > 1e10:
         raise DomainError(f"|k2| and |k2/theta| must be at most 1e10, got {k2!r}, {theta!r}")
-    return k2, float(theta)
+    return k2, theta
 
 
 def _ratio(l: int, z2: float) -> float:
@@ -695,29 +694,18 @@ def zero_in_spectrum(
     some degree l <= l_max.  Matching tolerance: 1e-8 on k^2.  For
     k^2 <= 0 the answer is False (both auxiliary spectra are positive).
     """
-    if isinstance(theta, complex) or not (float(theta) > 0.0):
-        raise DomainError(f"theta must be positive, got {theta!r}")
-    theta = float(theta)
-    k2 = float(k2)
+    k2, theta = _check_query(k2, theta, l_max)
     witnesses: list[SpectrumWitness] = []
     if k2 <= 0.0:
         return False, witnesses
-    tol = 1e-8
-    # Any relevant auxiliary root z satisfies z^2 ~ k2 (or k2/theta), and
-    # the first positive zero of either function exceeds l, so higher
-    # degrees cannot contribute; the count keeps the scan window ahead
-    # of both the target and the first zero.
-    target_n = math.sqrt(k2 / theta)
-    target_m = math.sqrt(k2)
+    # A witness's scaled square matches k2 to 1e-8, so its root lies
+    # deep inside (target - 1, target + 1]; each degree scans only that
+    # window above its first-root bound, and nothing once the bound
+    # exceeds it.
     for l in range(1, l_max + 1):
-        if l * l <= k2 / theta + 1.0:
-            count = min(100, max(int(target_n / math.pi) + 2, int(l / math.pi) + 1))
-            for root in neumann_zeros(l, count).roots:
-                if abs(theta * root * root - k2) <= tol:
-                    witnesses.append(SpectrumWitness("neumann", l, root))
-        if l * l <= k2 + 1.0:
-            count = min(100, max(int(target_m / math.pi) + 2, int(l / math.pi) + 1))
-            for root in magnetic_zeros(l, count).roots:
-                if abs(root * root - k2) <= tol:
-                    witnesses.append(SpectrumWitness("magnetic", l, root))
+        for kind, scale in (("neumann", theta), ("magnetic", 1.0)):
+            target = math.sqrt(k2 / scale)
+            for root in _roots(kind, l, target + 1.0, above=target - 1.0)[0]:
+                if abs(scale * root * root - k2) <= 1e-8:
+                    witnesses.append(SpectrumWitness(kind, l, root))
     return bool(witnesses), witnesses

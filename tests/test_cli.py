@@ -283,6 +283,16 @@ def test_zeros_csv_and_json():
         assert a == pytest.approx(b, rel=1e-15)
 
 
+@pytest.mark.parametrize("kind", ["bessel", "neumann", "magnetic", "family1"])
+def test_zeros_degree_bound(kind):
+    r = run_cli("zeros", "--kind", kind, "--l", "200", "--count", "2")
+    assert r.returncode == 0, r.stderr
+    assert len(r.stdout.strip().splitlines()) == 3
+    r = run_cli("zeros", "--kind", kind, "--l", "201")
+    assert r.returncode == 2
+    assert "201" in r.stderr and "Traceback" not in r.stderr
+
+
 def test_classical_output():
     r = run_cli("classical", "--dim", "3", "--count", "9")
     lines = r.stdout.strip().splitlines()

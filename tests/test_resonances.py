@@ -22,8 +22,9 @@ from steklov_ball import (
     neumann_zeros,
     sph_bessel_j,
     sph_bessel_j_deriv,
+    zero_in_spectrum,
 )
-from steklov_ball.resonances import _scan_roots
+from steklov_ball.resonances import _scan
 
 # first roots, mpmath 40 digits
 J1_FIRST = 4.493409457909064175307881
@@ -137,8 +138,8 @@ def test_scan_step_halving_stable():
     # the documented scan step is conservative: halving it changes
     # nothing but roundoff
     f = lambda x: sph_bessel_j(3, x).real
-    base, _ = _scan_roots(f, 5)
-    fine, _ = _scan_roots(f, 5, step=math.pi / 16.0)
+    base, _ = _scan(f, 3.0, 5 * math.pi + 20.0, count=5)
+    fine, _ = _scan(f, 3.0, 5 * math.pi + 20.0, count=5, step=math.pi / 16.0)
     assert len(base) == len(fine) == 5
     for a, b in zip(base, fine):
         assert a == pytest.approx(b, abs=1e-12)
@@ -189,13 +190,53 @@ def test_count_and_degree_validation():
         family1_resonances(1, -1.0, 1)
     with pytest.raises(InvalidMode):
         bessel_zeros(-1, 1)
+    assert len(bessel_zeros(200, 1).roots) == 1
+    for maker in (bessel_zeros, neumann_zeros, magnetic_zeros):
+        with pytest.raises(InvalidMode, match="201"):
+            maker(201, 1)
+    with pytest.raises(InvalidMode, match="201"):
+        family1_resonances(201, 1.0, 1)
 
 
-def test_scan_exhausted_when_window_cannot_hold_count():
-    # the first zero of j_15 is near 19.4; five roots do not fit below
-    # the documented ceiling of 5 pi + 20
+def test_scan_exhausted_when_window_holds_too_few_roots():
+    # (3, 10] holds only the first two zeros of j_3
     with pytest.raises(ScanExhausted):
-        bessel_zeros(15, 5)
+        _scan(lambda x: sph_bessel_j(3, x).real, 3.0, 10.0, count=3)
+
+
+@pytest.mark.parametrize("l", [15, 150, 200])
+def test_bessel_zeros_match_mpmath_at_high_degree(l):
+    # The k-th zero of j_l is near (k + l/2) pi, far above a window
+    # sized by the count alone; below l + 1/2 the scan would meet
+    # j_l underflowing to 0.0.
+    mpmath = pytest.importorskip("mpmath")
+    roots = bessel_zeros(l, 4).roots
+    assert len(roots) == 4 and roots[0] > l + 0.5
+    for k, root in enumerate(roots, start=1):
+        assert root == pytest.approx(float(mpmath.besseljzero(l + 0.5, k)), rel=1e-13)
+
+
+def test_known_window_and_step_defects_are_fixed():
+    # inputs that raised ScanExhausted or answered clear on a resonance
+    assert len(bessel_zeros(15, 10).roots) == 10
+    assert len(neumann_zeros(15, 50).roots) == 50
+    assert len(magnetic_zeros(15, 26).roots) == 26
+    # at theta = 1 the family-1 roots are the zeros of j_19 and j_21
+    assert family1_resonances(20, 1.0, 1).roots[0] == pytest.approx(
+        bessel_zeros(19, 1).roots[0], rel=1e-12
+    )
+    # k^2 on the square of the second zero of j_5 + x j_5'
+    hit, witnesses = zero_in_spectrum(125.19338030968427, 0.263108, 30)
+    assert hit
+    assert [(w.kind, w.l) for w in witnesses] == [("magnetic", 5)]
+    assert witnesses[0].root == pytest.approx(magnetic_zeros(5, 2).roots[1], rel=1e-14)
+    # k^2 on the l = 1 family-1 resonance square; the scan step must
+    # not depend on l_max
+    k2, theta = 154.5374829241101, 0.447459
+    clear, nearest = exclusion_check(k2, theta, 5)
+    assert not clear
+    square = min((r * r for r in family1_resonances(1, theta, 20).roots), key=lambda s: abs(s - k2))
+    assert nearest == pytest.approx(square, rel=1e-12)
 
 
 def test_exclusion_check_clear_point():
@@ -220,3 +261,27 @@ def test_exclusion_check_edge_cases():
         exclusion_check(0.0, 1.0, 3)
     with pytest.raises(DomainError):
         exclusion_check(1.0, 0.0, 3)
+
+
+@pytest.mark.parametrize("check", [exclusion_check, zero_in_spectrum])
+@pytest.mark.parametrize(
+    "k2,theta,l_max,error",
+    [
+        (math.nan, 1.0, 3, DomainError),
+        (math.inf, 1.0, 3, DomainError),
+        (-math.inf, 1.0, 3, DomainError),
+        (1.0 + 0.5j, 1.0, 3, DomainError),
+        (1e11, 1.0, 3, DomainError),
+        (1e40, 1.0, 3, DomainError),
+        (-1e10, 0.5, 3, DomainError),
+        (1.0, math.inf, 3, DomainError),
+        (1.0, math.nan, 3, DomainError),
+        (1.0, 1.0, 2.5, InvalidMode),
+        (1.0, 1.0, -1, InvalidMode),
+        (1.0, 1.0, 201, InvalidMode),
+        (1.0, 1.0, True, InvalidMode),
+    ],
+)
+def test_check_inputs_are_validated(check, k2, theta, l_max, error):
+    with pytest.raises(error):
+        check(k2, theta, l_max)
