@@ -172,8 +172,8 @@ _OPTIONS: dict[str, list[_Opt]] = {
     ],
     "verify": [
         _Opt("--suite", str, None, "suite name (repeatable; default: all)"),
-        _Opt("--l-max", _parse_int, None, "cap harmonic degree in the suites"),
-        _Opt("--tol", _parse_real, 1.0, "tolerance scale factor"),
+        _Opt("--l-max", _parse_int, None, "cap harmonic degree in the suites (1..200)"),
+        _Opt("--tol", _parse_real, 1.0, "tolerance scale factor (> 0)"),
         _Opt("--perturb-lambda", _parse_real, 0.0, "debug hook", hidden=True),
         _Opt("--format", str, "json", "output format", choices=("csv", "json")),
         _Opt("--out", str, None, "output file (default: stdout)"),
@@ -394,15 +394,12 @@ def cmd_classical(ns: argparse.Namespace) -> int:
 
 
 def cmd_verify(ns: argparse.Namespace) -> int:
-    try:
-        report = run_suites(
-            suites=ns.suite,
-            l_max=ns.l_max,
-            tol_scale=ns.tol,
-            perturb_lambda=ns.perturb_lambda,
-        )
-    except KeyError as exc:
-        raise SteklovBallError(str(exc))
+    report = run_suites(
+        suites=ns.suite,
+        l_max=ns.l_max,
+        tol_scale=ns.tol,
+        perturb_lambda=ns.perturb_lambda,
+    )
     if ns.format == "csv":
         lines = ["suite,name,passed,residual,tolerance"]
         for c in report.checks:

@@ -233,18 +233,17 @@ def _norm_const(l: int, m: int) -> float:
     )
 
 
-def _azimuth(n: ModeIndex, phi: float) -> tuple[float, float]:
-    # Returns (F(m phi), F'(m phi) including the chain-rule factor m).
+def _azimuth(n: ModeIndex, phi):
+    # Returns (F(m phi), F'(m phi) including the chain-rule factor m),
+    # for a float or an array of azimuths.
     if n.parity == "even":
-        return math.cos(n.m * phi), -n.m * math.sin(n.m * phi)
-    return math.sin(n.m * phi), n.m * math.cos(n.m * phi)
+        return np.cos(n.m * phi), -n.m * np.sin(n.m * phi)
+    return np.sin(n.m * phi), n.m * np.cos(n.m * phi)
 
 
 def scalar_Y(n: ModeIndex, p: SurfacePoint) -> float:
     """Orthonormal real spherical harmonic Y_n at a surface point."""
-    values, _, _ = assoc_legendre_tower(n.m, n.l, math.cos(p.theta))
-    trig, _ = _azimuth(n, p.phi)
-    return _norm_const(n.l, n.m) * values[n.l] * trig
+    return _angular_derivatives(n, p)[0]
 
 
 def _angular_derivatives(n: ModeIndex, p: SurfacePoint) -> tuple[float, float, float]:
@@ -432,35 +431,22 @@ def _angular_tables(
     modes: list[ModeIndex], rule: SurfaceRule
 ) -> dict[ModeIndex, tuple[np.ndarray, np.ndarray, np.ndarray]]:
     # Per-mode arrays (Y, dY/dtheta, (1/sin) dY/dphi) over rule nodes.
-    # Towers are built once per (m, node) and shared by all degrees.
+    # The rule is a product rule, so each order's tower is built once
+    # over the distinct theta nodes and shared by all degrees.
     l_max = max(n.l for n in modes)
-    m_set = sorted({n.m for n in modes})
-    x = np.cos(rule.theta)
-    n_pts = x.shape[0]
-    towers = {}
-    for m in m_set:
-        val = np.empty((l_max + 1, n_pts))
-        dth = np.empty((l_max + 1, n_pts))
-        osin = np.empty((l_max + 1, n_pts))
-        for j in range(n_pts):
-            v, d, o = assoc_legendre_tower(m, l_max, float(x[j]))
-            val[:, j] = v
-            dth[:, j] = d
-            osin[:, j] = o
-        towers[m] = (val, dth, osin)
+    x, inverse = np.unique(np.cos(rule.theta), return_inverse=True)
+    towers = {
+        m: [t[:, inverse] for t in assoc_legendre_tower(m, l_max, x)]
+        for m in {n.m for n in modes}
+    }
     out = {}
     for n in modes:
         val, dth, osin = towers[n.m]
         c = _norm_const(n.l, n.m)
-        if n.parity == "even":
-            trig = np.cos(n.m * rule.phi)
-            dtrig = -n.m * np.sin(n.m * rule.phi)
-        else:
-            trig = np.sin(n.m * rule.phi)
-            dtrig = n.m * np.cos(n.m * rule.phi)
+        trig, dtrig = _azimuth(n, rule.phi)
         y = c * val[n.l] * trig
         a = c * dth[n.l] * trig
-        b = c * osin[n.l] * dtrig if n.m >= 1 else np.zeros(n_pts)
+        b = c * osin[n.l] * dtrig if n.m >= 1 else np.zeros_like(y)
         out[n] = (y, a, b)
     return out
 

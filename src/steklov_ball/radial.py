@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .errors import DirichletResonance, DomainError, InvalidMode
-from .specfun import sph_bessel_j_all
+from .specfun import _j_and_deriv, sph_bessel_j_all
 
 __all__ = [
     "RadialKind",
@@ -112,13 +112,7 @@ class RadialFunction:
             raise DomainError(f"r must be positive, got {r!r}")
         total = 0.0 + 0.0j
         for c, alpha, beta in self.terms:
-            z = c * r
-            tab = sph_bessel_j_all(max(self.l, 1), z)
-            j = tab[self.l]
-            if self.l == 0:
-                jp = -tab[1]
-            else:
-                jp = tab[self.l - 1] - (self.l + 1) / z * tab[self.l]
+            j, jp = _j_and_deriv(self.l, c * r)
             total += _poly_eval(alpha, r) * j + _poly_eval(beta, r) * jp
         return total
 

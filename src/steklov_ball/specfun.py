@@ -9,6 +9,7 @@ implementation.  Accuracy targets are near machine precision for
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -175,10 +176,18 @@ def sph_bessel_j_deriv(l: int, z: complex) -> complex:
     if z == 0:
         # j_l ~ z^l / (2l+1)!!, so only l = 1 has a nonzero slope at 0.
         return complex(1.0 / 3.0) if l == 1 else complex(0.0)
+    return _j_and_deriv(l, z)[1]
+
+
+@functools.lru_cache(maxsize=4096)
+def _j_and_deriv(l: int, z: complex) -> tuple[complex, complex]:
+    # (j_l(z), j_l'(z)) for z != 0 from one tower.  Cached because the
+    # radial algebra evaluates a profile and all its derivatives at the
+    # same few arguments.
     tab = sph_bessel_j_all(max(l, 1), z)
     if l == 0:
-        return complex(-tab[1])
-    return complex(tab[l - 1] - (l + 1) / z * tab[l])
+        return complex(tab[0]), complex(-tab[1])
+    return complex(tab[l]), complex(tab[l - 1] - (l + 1) / z * tab[l])
 
 
 # ----------------------------------------------------------------------
@@ -197,8 +206,14 @@ def _validate_degree_order(l: int, m: int) -> None:
         )
 
 
+def _pow(s: np.ndarray, m: int) -> np.ndarray:
+    # Elementwise s**m through float's own power, as the scalar tower
+    # always computed it; numpy's vectorized power can differ by an ulp.
+    return np.array([v**m for v in s.ravel().tolist()]).reshape(s.shape)
+
+
 def assoc_legendre_tower(
-    m: int, l_max: int, x: float
+    m: int, l_max: int, x
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Associated Legendre functions of fixed order m, degrees up to l_max.
 
@@ -211,54 +226,54 @@ def assoc_legendre_tower(
         Order, 0 <= m <= l_max.
     l_max : int
         Highest degree, l_max <= 200.
-    x : float
-        Point in [-1, 1].
+    x : float or array of float
+        Point(s) in [-1, 1]; the recurrence runs over all of them at once.
 
     Returns
     -------
     values, dtheta, over_sin : numpy.ndarray
-        Arrays of length l_max + 1 indexed by degree.  ``values[l]`` is
+        Arrays of shape ``(l_max + 1, *x.shape)`` indexed first by
+        degree (length l_max + 1 for a scalar x).  ``values[l]`` is
         P_l^m(x); ``dtheta[l]`` is d/dtheta P_l^m(cos theta); and
         ``over_sin[l]`` is P_l^m(x) / sin(theta), which stays finite at
         the poles for m >= 1.  For m = 0 the third array is returned as
         zeros because the quotient is then pole-singular and is never
         needed (it only ever appears multiplied by m).
 
-    Entries with degree below m are zero.
+    Entries with degree below m are zero.  Complex input or any entry
+    outside [-1, 1] (NaN included) raises DomainError; values beyond
+    double range (orders m above about 150) raise OverflowError.
     """
     _validate_degree_order(l_max, m)
-    if isinstance(x, complex):
+    if np.iscomplexobj(x):
         raise DomainError(f"argument must be real, got {x!r}")
-    x = float(x)
-    if not (-1.0 <= x <= 1.0):
-        raise DomainError(f"argument must lie in [-1, 1], got {x!r}")
-    s = math.sqrt(max(0.0, 1.0 - x * x))  # sin(theta)
+    x = np.asarray(x, dtype=float)
+    inside = (x >= -1.0) & (x <= 1.0)
+    if not np.all(inside):
+        bad = float(x[~inside][0])
+        raise DomainError(f"argument must lie in [-1, 1], got {bad!r}")
+    s = np.sqrt(np.maximum(0.0, 1.0 - x * x))  # sin(theta)
 
-    values = np.zeros(l_max + 1)
-    dtheta = np.zeros(l_max + 1)
-    over_sin = np.zeros(l_max + 1)
+    values = np.zeros((l_max + 1, *x.shape))
+    dtheta = np.zeros_like(values)
+    over_sin = np.zeros_like(values)
 
     # Seeds at degree m: P_m^m = (2m-1)!! sin^m(theta).
     dfact = 1.0
     for i in range(1, 2 * m, 2):
         dfact *= i
-    sin_pow = s**m
-    values[m] = dfact * sin_pow
+    values[m] = dfact * _pow(s, m)
     # d/dtheta sin^m = m sin^{m-1} cos; safe for m = 0 (slope is 0).
     if m >= 1:
-        sin_pow_m1 = s ** (m - 1)
+        sin_pow_m1 = _pow(s, m - 1)
         dtheta[m] = dfact * m * sin_pow_m1 * x
         over_sin[m] = dfact * sin_pow_m1
-    if l_max == m:
-        _check_legendre_finite(values, dtheta)
-        return values, dtheta, over_sin
-
-    # Degree m+1 from the two-term start of the ascending recurrence.
-    values[m + 1] = (2 * m + 1) * x * values[m]
-    dtheta[m + 1] = (2 * m + 1) * (x * dtheta[m] - s * values[m])
-    if m >= 1:
-        over_sin[m + 1] = (2 * m + 1) * x * over_sin[m]
-
+    if l_max > m:
+        # Degree m+1 from the two-term start of the ascending recurrence.
+        values[m + 1] = (2 * m + 1) * x * values[m]
+        dtheta[m + 1] = (2 * m + 1) * (x * dtheta[m] - s * values[m])
+        if m >= 1:
+            over_sin[m + 1] = (2 * m + 1) * x * over_sin[m]
     for n in range(m + 2, l_max + 1):
         values[n] = (
             (2 * n - 1) * x * values[n - 1] - (n + m - 1) * values[n - 2]
@@ -328,9 +343,9 @@ class QuadratureRule:
         return float(math.fsum((self.weights * values).tolist()))
 
 
-def _legendre_pair(n: int, x: float) -> tuple[float, float]:
-    # P_n(x) and P_{n-1}(x) by the three-term recurrence.
-    p_prev, p_cur = 1.0, x
+def _legendre_pair(n: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    # P_n(x) and P_{n-1}(x) by the three-term recurrence, elementwise.
+    p_prev, p_cur = np.ones_like(x), x
     for k in range(1, n):
         p_prev, p_cur = p_cur, ((2 * k + 1) * x * p_cur - k * p_prev) / (k + 1)
     return p_cur, p_prev
@@ -340,9 +355,11 @@ def gauss_legendre(count: int) -> QuadratureRule:
     """Gauss-Legendre rule with ``count`` nodes on [-1, 1].
 
     Newton iteration is carried out in the variable theta = arccos(x),
-    which keeps the iteration well-conditioned near the endpoints.  The
-    node set is sorted ascending and symmetrized so that x and -x are
-    exact negatives and paired weights are exactly equal.
+    which keeps the iteration well-conditioned near the endpoints.  All
+    nodes iterate together; each stops once its own Newton step falls
+    below 1e-15.  The node set is sorted ascending and symmetrized so
+    that x and -x are exact negatives and paired weights are exactly
+    equal.
 
     The rule is deterministic: repeated calls return identical arrays.
     """
@@ -351,27 +368,22 @@ def gauss_legendre(count: int) -> QuadratureRule:
     if not (1 <= count <= 4096):
         raise DomainError(f"count must be in [1, 4096], got {count}")
     n = int(count)
-    nodes = np.empty(n)
-    weights = np.empty(n)
-    for i in range(n):
-        theta = math.pi * (i + 0.75) / (n + 0.5)
-        for _ in range(100):
-            x = math.cos(theta)
-            s = math.sin(theta)
-            pn, pnm1 = _legendre_pair(n, x)
-            # d/dtheta P_n(cos theta) = n (P_{n-1} - x P_n) / sin(theta) * (-1)
-            # The derivative used below is with respect to theta directly.
-            dp_dtheta = -n * (pnm1 - x * pn) / s
-            step = pn / dp_dtheta
-            theta -= step
-            if abs(step) < 1e-15:
-                break
-        x = math.cos(theta)
-        s = math.sin(theta)
+    theta = math.pi * (np.arange(n) + 0.75) / (n + 0.5)
+    active = np.arange(n)
+    for _ in range(100):
+        t = theta[active]
+        x = np.cos(t)
         pn, pnm1 = _legendre_pair(n, x)
-        q = n * (pnm1 - x * pn) / s
-        nodes[i] = x
-        weights[i] = 2.0 / (q * q)
+        # d/dtheta P_n(cos theta) = -n (P_{n-1} - x P_n) / sin(theta)
+        step = pn / (-n * (pnm1 - x * pn) / np.sin(t))
+        theta[active] = t - step
+        active = active[np.abs(step) >= 1e-15]
+        if active.size == 0:
+            break
+    nodes = np.cos(theta)
+    pn, pnm1 = _legendre_pair(n, nodes)
+    q = n * (pnm1 - nodes * pn) / np.sin(theta)
+    weights = 2.0 / (q * q)
     order = np.argsort(nodes)
     nodes = nodes[order]
     weights = weights[order]

@@ -40,6 +40,7 @@ from .harmonics import (
     ModeIndex,
     SurfacePoint,
     Vec3,
+    _angular_tables,
     scalar_Y,
     surface_direction,
     surface_quadrature,
@@ -325,9 +326,10 @@ def residual_system(pair: RadialPair, r: float) -> tuple[float, float]:
 
     if pair.kind is RadialKind.TOROIDAL:
         e1 = pair.e1
+        d1 = e1.deriv()
         terms = [
-            -e1.deriv().deriv()(r),
-            -2.0 * e1.deriv()(r) / r,
+            -d1.deriv()(r),
+            -2.0 * d1(r) / r,
             big_l * e1(r) / (r * r),
             -k2 * e1(r),
         ]
@@ -336,17 +338,18 @@ def residual_system(pair: RadialPair, r: float) -> tuple[float, float]:
     e2, e3 = pair.e2, pair.e3
     phi = _phi_function(pair)
     penalty = 1.0 - pair.theta
+    d2, d3 = e2.deriv(), e3.deriv()
     terms2 = [
-        -e2.deriv().deriv()(r),
-        -2.0 * e2.deriv()(r) / r,
+        -d2.deriv()(r),
+        -2.0 * d2(r) / r,
         big_l * e2(r) / (r * r),
         -2.0 * root * e3(r) / (r * r),
         penalty * root * phi(r) / r,
         -k2 * e2(r),
     ]
     terms3 = [
-        -e3.deriv().deriv()(r),
-        -2.0 * e3.deriv()(r) / r,
+        -d3.deriv()(r),
+        -2.0 * d3(r) / r,
         (2.0 + big_l) * e3(r) / (r * r),
         -2.0 * root * e2(r) / (r * r),
         penalty * phi.deriv()(r),
@@ -405,9 +408,10 @@ def residual_div_helmholtz(mode: SteklovMode, p: BallPoint) -> float:
     phi = _phi_function(mode.radial)
     r = p.r
     big_l = mode.n.l * (mode.n.l + 1)
+    dphi = phi.deriv()
     terms = [
-        -phi.deriv().deriv()(r),
-        -2.0 * phi.deriv()(r) / r,
+        -dphi.deriv()(r),
+        -2.0 * dphi(r) / r,
         big_l * phi(r) / (r * r),
         -(mode.k2 / mode.theta) * phi(r),
     ]
@@ -462,6 +466,16 @@ def _real_samples(f: RadialFunction, radii: np.ndarray, what: str) -> np.ndarray
     return values.real
 
 
+def _surface_sums(n: ModeIndex, order: int) -> tuple[float, float, float]:
+    # Surface integrals of |A_1|^2, |A_2|^2, |A_3|^2: |A_3|^2 = Y^2 and
+    # |A_1|^2 = |A_2|^2 = (a^2 + b^2) / (l(l+1)), rounded as Vec3.norm().
+    surf = surface_quadrature(order)
+    y, a, b = _angular_tables([n], surf)[n]
+    root = math.sqrt(n.l * (n.l + 1))
+    tangential = float(np.sum(surf.weights * np.hypot(a / root, b / root) ** 2))
+    return tangential, tangential, float(np.sum(surf.weights * (y * y)))
+
+
 def _weak_identity_terms(
     mode: SteklovMode, radial_order: int, surface_order: int
 ) -> tuple[float, float, float, float]:
@@ -470,18 +484,7 @@ def _weak_identity_terms(
     rule = gauss_legendre(radial_order)
     radii = 0.5 * (rule.nodes + 1.0)
     rweights = 0.5 * rule.weights * radii**2
-    surf = surface_quadrature(surface_order)
-    a1 = np.zeros(surf.theta.shape[0])
-    a2 = np.zeros_like(a1)
-    a3 = np.zeros_like(a1)
-    for i, point in enumerate(surf.points()):
-        if l >= 1:
-            a1[i] = vector_A(1, mode.n, point).norm() ** 2
-            a2[i] = vector_A(2, mode.n, point).norm() ** 2
-        a3[i] = vector_A(3, mode.n, point).norm() ** 2
-    s1 = float(np.sum(surf.weights * a1))
-    s2 = float(np.sum(surf.weights * a2))
-    s3 = float(np.sum(surf.weights * a3))
+    s1, s2, s3 = _surface_sums(mode.n, surface_order)
 
     pair = mode.radial
     if mode.family == 2:

@@ -20,10 +20,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import classical, fd, harmonics, resonances, spectrum
-from .errors import DirichletResonance
+from .errors import DirichletResonance, DomainError, InvalidMode
 from .harmonics import BallPoint, ModeIndex, SurfacePoint
 from .radial import RadialKind, radial_profiles
-from .specfun import sph_bessel_j, sph_bessel_j_deriv
+from .specfun import _L_MAX, sph_bessel_j, sph_bessel_j_deriv
 
 __all__ = ["Check", "VerifyReport", "SUITE_NAMES", "run_suites", "sample_modes"]
 
@@ -63,7 +63,7 @@ class _Context:
     perturb_lambda: float
 
     def cap(self, l: int) -> int:
-        return l if self.l_max is None else max(1, min(l, self.l_max))
+        return l if self.l_max is None else min(l, self.l_max)
 
 
 def _check(suite: str, name: str, residual: float, tolerance: float) -> Check:
@@ -394,15 +394,22 @@ def run_suites(
     tol_scale: float = 1.0,
     perturb_lambda: float = 0.0,
 ) -> VerifyReport:
-    """Run the named suites (all by default) and collect their checks."""
+    """Run the named suites (all by default) and collect their checks.
+
+    ``l_max`` (1..200) caps the suites' degrees; ``tol_scale`` (finite,
+    > 0) multiplies every tolerance."""
     if suites is None:
         names = list(SUITE_NAMES)
     else:
         unknown = [s for s in suites if s not in SUITES]
         if unknown:
-            raise KeyError(f"unknown suites: {unknown}; available: {list(SUITE_NAMES)}")
+            raise InvalidMode(f"unknown suites: {unknown}; available: {list(SUITE_NAMES)}")
         names = list(suites)
-    ctx = _Context(l_max=l_max, tol_scale=tol_scale, perturb_lambda=perturb_lambda)
+    if l_max is not None and (type(l_max) is not int or not 1 <= l_max <= _L_MAX):
+        raise InvalidMode(f"l_max must be an integer in [1, {_L_MAX}], got {l_max!r}")
+    if isinstance(tol_scale, complex) or not 0.0 < float(tol_scale) < math.inf:
+        raise DomainError(f"tol_scale must be positive and finite, got {tol_scale!r}")
+    ctx = _Context(l_max=l_max, tol_scale=float(tol_scale), perturb_lambda=perturb_lambda)
     checks: list[Check] = []
     for name in names:
         checks.extend(SUITES[name](ctx))

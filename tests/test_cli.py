@@ -90,6 +90,11 @@ def test_invalid_flags_exit_2():
         ["eigs", "--family", "1", "--l-max", "0", "--k2", "1"],
         ["zeros", "--kind", "unknown", "--l", "1"],
         ["verify", "--suite", "not-a-suite"],
+        ["verify", "--tol", "-1"],
+        ["verify", "--tol", "0"],
+        ["verify", "--l-max", "0"],
+        ["verify", "--l-max", "-5"],
+        ["verify", "--l-max", "201"],
         ["eigs", "--l-max", "201", "--k2", "1"],
         ["eigs", "--l-max", "1", "--k2", "1e11"],
         ["sweep", "--l", "1:2", "--k2", "1:2", "--samples", "0"],
@@ -322,6 +327,18 @@ def test_verify_single_suite_csv():
     assert r.returncode == 0
     lines = r.stdout.strip().splitlines()
     assert lines[0].startswith("suite,")
+
+
+def test_verify_argument_errors_are_typed():
+    # Refused before any suite runs, with the message as written.
+    r = run_cli("verify", "--suite", "not-a-suite")
+    assert r.stderr.startswith("error: unknown suites: ['not-a-suite']")
+    for kwargs in ({"suites": ["not-a-suite"]}, {"l_max": 0}, {"l_max": 201}, {"l_max": 2.0}):
+        with pytest.raises(steklov_ball.InvalidMode):
+            steklov_ball.run_suites(**kwargs)
+    for tol in (-1.0, 0.0, math.inf, math.nan):
+        with pytest.raises(steklov_ball.DomainError):
+            steklov_ball.run_suites(tol_scale=tol)
 
 
 def test_verify_perturbation_hook_fails():

@@ -134,6 +134,29 @@ def test_legendre_tower_matches_closed_forms():
     assert dtheta[3] == pytest.approx((vp - vm) / (2 * h), rel=1e-8)
 
 
+def test_legendre_tower_array_matches_scalar_calls():
+    # Every column of an array call equals the scalar call at that point
+    # within 1 ulp, for any input shape.
+    x = np.array([[-1.0, -0.73, -0.2], [0.0, 0.41, 1.0]])
+    for m, l_max in ((0, 0), (0, 9), (1, 1), (2, 12), (7, 40), (30, 60)):
+        tower = assoc_legendre_tower(m, l_max, x)
+        for idx in np.ndindex(x.shape):
+            scalar = assoc_legendre_tower(m, l_max, float(x[idx]))
+            for got, want in zip(tower, scalar):
+                assert got.shape == (l_max + 1, *x.shape)
+                assert want.shape == (l_max + 1,)
+                col = got[(slice(None), *idx)]
+                assert np.all(np.abs(col - want) <= np.spacing(np.abs(want)))
+
+
+def test_legendre_tower_array_validation():
+    for bad in ([0.2, 1.0 + 1e-12], [-1.5, 0.3], [0.2, math.nan], [0.2, 0.3 + 0j]):
+        with pytest.raises(DomainError):
+            assoc_legendre_tower(1, 3, np.array(bad))
+    with pytest.raises(OverflowError), np.errstate(all="ignore"):
+        assoc_legendre_tower(160, 160, np.array([0.0, 0.5, 1.0]))
+
+
 def test_assoc_legendre_endpoint_regular():
     # m >= 1 vanishes at the poles; the derivative stays finite.
     val, der = assoc_legendre(5, 2, 1.0)

@@ -46,7 +46,9 @@ from steklov_ball import (
     zero_in_spectrum,
 )
 from steklov_ball import fd, spectrum
-from steklov_ball.spectrum import eigen_grid
+from steklov_ball.harmonics import surface_quadrature, vector_A
+from steklov_ball.spectrum import _surface_sums, eigen_grid
+from steklov_ball.verify import _WEAK_MODES
 
 # (l, k2, lambda2) -- mpmath, 40 digits
 LAMBDA2_ORACLE = [
@@ -422,3 +424,17 @@ def test_steklov_mode_validation():
         steklov_mode(1, n, 0.0, 1.0)
     with pytest.raises(DomainError):
         steklov_mode(1, n, 1.0, -1.0)
+
+
+def test_weak_identity_surface_sums_match_pointwise():
+    # The Legendre-table sums equal the per-node vector_A sums they
+    # replaced, for every mode of the weak-identity suite.
+    for _, n, _, _ in _WEAK_MODES:
+        surf = surface_quadrature(2 * n.l + 4)
+        pointwise = [
+            float(np.sum(surf.weights * np.array(
+                [vector_A(tau, n, p).norm() ** 2 for p in surf.points()]
+            )))
+            for tau in (1, 2, 3)
+        ]
+        np.testing.assert_allclose(_surface_sums(n, 2 * n.l + 4), pointwise, rtol=1e-14, atol=0)
