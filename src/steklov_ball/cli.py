@@ -14,12 +14,12 @@ RES; no command ever prints NaN or Inf.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import math
 import os
 import sys
 from pathlib import Path
-from typing import Callable
 
 import numpy as np
 
@@ -27,7 +27,7 @@ from .classical import ball_steklov_spectrum
 from .errors import SteklovBallError
 from .resonances import bessel_zeros, family1_resonances, magnetic_zeros, neumann_zeros
 from .spectrum import eigen_grid
-from .verify import SUITE_NAMES, run_suites
+from .verify import run_suites
 
 __all__ = ["main"]
 
@@ -58,30 +58,22 @@ def _parse_real(text: str) -> float:
     return value
 
 
-def _parse_int_range(text: str) -> tuple[int, int]:
+def _parse_range(text: str, parse, name: str) -> tuple:
     parts = text.split(":")
-    if len(parts) == 1:
-        lo = hi = _parse_int(parts[0])
-    elif len(parts) == 2:
-        lo, hi = _parse_int(parts[0]), _parse_int(parts[1])
-    else:
-        raise argparse.ArgumentTypeError(f"expected INT or LO:HI, got {text!r}")
+    if len(parts) > 2:
+        raise argparse.ArgumentTypeError(f"expected {name} or LO:HI, got {text!r}")
+    lo, hi = parse(parts[0]), parse(parts[-1])
     if lo > hi:
         raise argparse.ArgumentTypeError(f"empty range {text!r}")
     return lo, hi
+
+
+def _parse_int_range(text: str) -> tuple[int, int]:
+    return _parse_range(text, _parse_int, "INT")
 
 
 def _parse_real_range(text: str) -> tuple[float, float]:
-    parts = text.split(":")
-    if len(parts) == 1:
-        lo = hi = _parse_real(parts[0])
-    elif len(parts) == 2:
-        lo, hi = _parse_real(parts[0]), _parse_real(parts[1])
-    else:
-        raise argparse.ArgumentTypeError(f"expected REAL or LO:HI, got {text!r}")
-    if lo > hi:
-        raise argparse.ArgumentTypeError(f"empty range {text!r}")
-    return lo, hi
+    return _parse_range(text, _parse_real, "REAL")
 
 
 def _merge_negative_values(argv: list[str]) -> list[str]:
@@ -108,77 +100,60 @@ def _merge_negative_values(argv: list[str]) -> list[str]:
 
 
 # ----------------------------------------------------------------------
-# Flag plumbing: one table per subcommand drives both argparse and the
-# config-file merge (config mirrors every flag; flags win on conflict).
+# Flags: one table of add_argument keywords per subcommand.  A --config
+# file's lines become flag tokens placed before the command line's own,
+# so argparse casts and checks them alike and explicit flags win.
 # ----------------------------------------------------------------------
 
 
-class _Opt:
-    def __init__(
-        self,
-        flag: str,
-        cast: Callable[[str], object] | None,
-        default: object,
-        help: str,
-        choices: tuple[str, ...] | None = None,
-        required: bool = False,
-        hidden: bool = False,
-    ) -> None:
-        self.flag = flag
-        self.attr = flag.lstrip("-").replace("-", "_")
-        self.cast = cast
-        self.default = default
-        self.help = help
-        self.choices = choices
-        self.required = required
-        self.hidden = hidden
+_COMMON = {
+    "--format": dict(default="csv", choices=("csv", "json"), help="output format"),
+    "--out": dict(help="output file (default: stdout)"),
+    "--config": dict(help="key=value config file mirroring the flags"),
+}
 
-
-_COMMON = [
-    _Opt("--format", str, "csv", "output format", choices=("csv", "json")),
-    _Opt("--out", str, None, "output file (default: stdout)"),
-    _Opt("--config", str, None, "key=value config file mirroring the flags"),
-]
-
-_OPTIONS: dict[str, list[_Opt]] = {
-    "eigs": [
-        _Opt("--family", _parse_int, 1, "eigenvalue family, 1 or 2"),
-        _Opt("--l-max", _parse_int, 3, "degrees 1..l_max"),
-        _Opt("--k2", _parse_real, None, "wavenumber squared (nonzero real)", required=True),
-        _Opt("--theta", _parse_real, 1.0, "penalty parameter > 0"),
-        *_COMMON,
-    ],
-    "sweep": [
-        _Opt("--family", _parse_int, 1, "eigenvalue family, 1 or 2"),
-        _Opt("--l", _parse_int_range, (1, 10), "degree or range LO:HI"),
-        _Opt("--k2", _parse_real_range, None, "k2 value or range LO:HI", required=True),
-        _Opt("--samples", _parse_int, 2001, f"number of k2 samples, 1..{_MAX_SAMPLES}"),
-        _Opt("--theta", _parse_real, 1.0, "penalty parameter > 0"),
-        _Opt("--threads", _parse_int, None, f"no effect; 1..{_MAX_THREADS} for old command lines"),
-        *_COMMON,
-    ],
-    "zeros": [
-        _Opt("--kind", str, None, "root family", choices=_KINDS, required=True),
-        _Opt("--l", _parse_int, None, "Bessel degree", required=True),
-        _Opt("--count", _parse_int, 5, "number of roots"),
-        _Opt("--theta", _parse_real, 1.0, "penalty parameter (family1 only)"),
-        *_COMMON,
-    ],
-    "classical": [
-        _Opt("--dim", _parse_int, 3, "ambient dimension n >= 2"),
-        _Opt("--radius", _parse_real, 1.0, "ball radius"),
-        _Opt("--count", _parse_int, 25, "flattened eigenvalue count"),
-        *_COMMON,
-    ],
-    "verify": [
-        _Opt("--suite", str, None, "suite name (repeatable; default: all)"),
-        _Opt("--l-max", _parse_int, None, "cap harmonic degree in the suites (1..200)"),
-        _Opt("--tol", _parse_real, 1.0, "tolerance scale factor (> 0)"),
-        _Opt("--perturb-lambda", _parse_real, 0.0, "debug hook", hidden=True),
-        _Opt("--format", str, "json", "output format", choices=("csv", "json")),
-        _Opt("--out", str, None, "output file (default: stdout)"),
-        _Opt("--config", str, None, "key=value config file mirroring the flags"),
-    ],
+_OPTIONS: dict[str, dict[str, dict]] = {
+    "eigs": {
+        "--family": dict(type=_parse_int, default=1, help="eigenvalue family, 1 or 2"),
+        "--l-max": dict(type=_parse_int, default=3, help="degrees 1..l_max"),
+        "--k2": dict(type=_parse_real, required=True, help="wavenumber squared (nonzero real)"),
+        "--theta": dict(type=_parse_real, default=1.0, help="penalty parameter > 0"),
+        **_COMMON,
+    },
+    "sweep": {
+        "--family": dict(type=_parse_int, default=1, help="eigenvalue family, 1 or 2"),
+        "--l": dict(type=_parse_int_range, default=(1, 10), help="degree or range LO:HI"),
+        "--k2": dict(type=_parse_real_range, required=True, help="k2 value or range LO:HI"),
+        "--samples": dict(
+            type=_parse_int, default=2001, help=f"number of k2 samples, 1..{_MAX_SAMPLES}"
+        ),
+        "--theta": dict(type=_parse_real, default=1.0, help="penalty parameter > 0"),
+        "--threads": dict(
+            type=_parse_int, help=f"no effect; 1..{_MAX_THREADS} for old command lines"
+        ),
+        **_COMMON,
+    },
+    "zeros": {
+        "--kind": dict(choices=_KINDS, required=True, help="root family"),
+        "--l": dict(type=_parse_int, required=True, help="Bessel degree"),
+        "--count": dict(type=_parse_int, default=5, help="number of roots"),
+        "--theta": dict(type=_parse_real, default=1.0, help="penalty parameter (family1 only)"),
+        **_COMMON,
+    },
+    "classical": {
+        "--dim": dict(type=_parse_int, default=3, help="ambient dimension n >= 2"),
+        "--radius": dict(type=_parse_real, default=1.0, help="ball radius"),
+        "--count": dict(type=_parse_int, default=25, help="flattened eigenvalue count"),
+        **_COMMON,
+    },
+    "verify": {
+        "--suite": dict(action="append", help="suite name (repeatable; default: all)"),
+        "--l-max": dict(type=_parse_int, help="cap harmonic degree in the suites (1..200)"),
+        "--tol": dict(type=_parse_real, default=1.0, help="tolerance scale factor (> 0)"),
+        "--perturb-lambda": dict(type=_parse_real, default=0.0, help=argparse.SUPPRESS),
+        **_COMMON,
+        "--format": dict(_COMMON["--format"], default="json"),
+    },
 }
 
 
@@ -197,72 +172,67 @@ def _build_parser() -> argparse.ArgumentParser:
     }
     for command, options in _OPTIONS.items():
         p = sub.add_parser(command, help=descriptions[command])
-        for opt in options:
-            kwargs: dict = {
-                "default": None,
-                "help": argparse.SUPPRESS if opt.hidden else opt.help,
-            }
-            if opt.choices:
-                kwargs["choices"] = opt.choices
-            if opt.flag == "--suite":
-                kwargs["action"] = "append"
-            p.add_argument(opt.flag, **kwargs)
-        p.set_defaults(func=_COMMANDS[command], options=options)
+        for flag, kwargs in options.items():
+            p.add_argument(flag, **kwargs)
+        p.set_defaults(func=_COMMANDS[command])
     return parser
 
 
-def _load_config(path: str) -> dict[str, str]:
+def _config_tokens(command: str, args: list[str]) -> list[str]:
+    """The `--key=value` tokens of the --config file named in `args`.
+
+    Keys must be the command's own flags, spelled out; `suite=a,b` gives
+    one --suite token per name, and none when `args` has its own --suite.
+    """
+    prescan = argparse.ArgumentParser(prog="steklov-ball", add_help=False, exit_on_error=False)
+    prescan.add_argument("--config")
+    prescan.add_argument("--suite", action="append")
+    try:
+        given, _ = prescan.parse_known_args(args)
+    except argparse.ArgumentError:
+        return []  # a flag without its value: the full parse reports it
+    if given.config is None:
+        return []
+    try:
+        text = Path(given.config).read_text()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise SteklovBallError(f"cannot read --config file: {exc}") from None
     table: dict[str, str] = {}
-    text = Path(path).read_text()
     for line_number, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
         if "=" not in line:
-            raise SteklovBallError(f"{path}:{line_number}: expected key=value, got {line!r}")
+            raise SteklovBallError(f"{given.config}:{line_number}: expected key=value, got {line!r}")
         key, _, value = line.partition("=")
         table[key.strip()] = value.strip()
-    return table
-
-
-def _resolve(ns: argparse.Namespace) -> argparse.Namespace:
-    """Fill unset flags from the config file, then from defaults, and
-    apply each option's cast uniformly to both sources."""
-    config = _load_config(ns.config) if ns.config else {}
-    known = {opt.flag.lstrip("-") for opt in ns.options}
-    for key in config:
-        if key not in known:
+    tokens = []
+    for key, value in table.items():
+        if f"--{key}" not in _OPTIONS[command]:
             raise SteklovBallError(f"unknown config key {key!r}")
-    for opt in ns.options:
-        raw = getattr(ns, opt.attr)
-        if raw is None and opt.flag.lstrip("-") in config:
-            raw = config[opt.flag.lstrip("-")]
-            if opt.flag == "--suite":
-                raw = [token.strip() for token in raw.split(",")]
-        if raw is None:
-            if opt.required:
-                raise SteklovBallError(f"missing required flag {opt.flag}")
-            setattr(ns, opt.attr, opt.default)
-            continue
-        if opt.cast is not None:
-            try:
-                if isinstance(raw, list):
-                    raw = [opt.cast(item) if isinstance(item, str) else item for item in raw]
-                elif isinstance(raw, str):
-                    raw = opt.cast(raw)
-            except argparse.ArgumentTypeError as exc:
-                raise SteklovBallError(f"{opt.flag}: {exc}")
-        if opt.choices and raw not in opt.choices:
-            raise SteklovBallError(f"{opt.flag}: expected one of {opt.choices}, got {raw!r}")
-        setattr(ns, opt.attr, raw)
-    return ns
+        if key != "suite":
+            tokens.append(f"--{key}={value}")
+        elif given.suite is None:
+            tokens += [f"--suite={name.strip()}" for name in value.split(",")]
+    return tokens
+
+
+def _csv(header: str, lines) -> str:
+    return "\n".join([header, *lines]) + "\n"
+
+
+def _json(payload: dict) -> str:
+    return json.dumps(payload, indent=2, allow_nan=False) + "\n"
 
 
 def _emit(text: str, out: str | None) -> None:
-    if out:
-        Path(out).write_text(text)
-    else:
+    if not out:
         sys.stdout.write(text)
+        return
+    try:
+        Path(out).write_text(text)
+    except OSError as exc:
+        raise SteklovBallError(f"cannot write --out file: {exc}") from None
 
 
 # ----------------------------------------------------------------------
@@ -281,25 +251,12 @@ def _grid_rows(family: int, l_lo: int, l_hi: int, k2s: list[float], theta: float
 
 def _table_text(rows: list[tuple[int, int, float, float, float | None, str]], fmt: str) -> str:
     if fmt == "csv":
-        lines = [_TABLE_HEADER]
-        for family, l, theta, k2, value, status in rows:
-            lam = "" if value is None else _fmt(value)
-            lines.append(f"{family},{l},{_fmt(theta)},{_fmt(k2)},{lam},{status}")
-        return "\n".join(lines) + "\n"
-    payload = {
-        "rows": [
-            {
-                "family": family,
-                "l": l,
-                "theta": theta,
-                "k2": k2,
-                "lambda": value,
-                "status": status,
-            }
+        return _csv(_TABLE_HEADER, (
+            f"{family},{l},{_fmt(theta)},{_fmt(k2)},{'' if value is None else _fmt(value)},{status}"
             for family, l, theta, k2, value, status in rows
-        ]
-    }
-    return json.dumps(payload, indent=2, allow_nan=False) + "\n"
+        ))
+    keys = ("family", "l", "theta", "k2", "lambda", "status")
+    return _json({"rows": [dict(zip(keys, row)) for row in rows]})
 
 
 def cmd_eigs(ns: argparse.Namespace) -> int:
@@ -328,68 +285,37 @@ def cmd_sweep(ns: argparse.Namespace) -> int:
 
 
 def cmd_zeros(ns: argparse.Namespace) -> int:
-    if ns.kind == "bessel":
-        roots = bessel_zeros(ns.l, ns.count)
-    elif ns.kind == "neumann":
-        roots = neumann_zeros(ns.l, ns.count)
-    elif ns.kind == "magnetic":
-        roots = magnetic_zeros(ns.l, ns.count)
-    else:
+    if ns.kind == "family1":
         roots = family1_resonances(ns.l, ns.theta, ns.count)
-    theta_text = "" if roots.theta is None else _fmt(roots.theta)
-    if ns.format == "csv":
-        lines = ["kind,l,theta,index,root,residual"]
-        for index, (root, residual) in enumerate(zip(roots.roots, roots.residuals), start=1):
-            lines.append(
-                f"{roots.tag},{roots.l},{theta_text},{index},{_fmt(root)},{_fmt(residual)}"
-            )
-        _emit("\n".join(lines) + "\n", ns.out)
     else:
-        payload = {
-            "kind": roots.tag,
-            "l": roots.l,
-            "theta": roots.theta,
-            "roots": list(roots.roots),
-            "residuals": list(roots.residuals),
-        }
-        _emit(json.dumps(payload, indent=2, allow_nan=False) + "\n", ns.out)
+        scan = {"bessel": bessel_zeros, "neumann": neumann_zeros, "magnetic": magnetic_zeros}
+        roots = scan[ns.kind](ns.l, ns.count)
+    if ns.format == "csv":
+        theta = "" if roots.theta is None else _fmt(roots.theta)
+        text = _csv("kind,l,theta,index,root,residual", (
+            f"{roots.tag},{roots.l},{theta},{index},{_fmt(root)},{_fmt(residual)}"
+            for index, (root, residual) in enumerate(zip(roots.roots, roots.residuals), start=1)
+        ))
+    else:
+        text = _json({"kind": roots.tag, "l": roots.l, "theta": roots.theta,
+                      "roots": list(roots.roots), "residuals": list(roots.residuals)})
+    _emit(text, ns.out)
     return 0
 
 
 def cmd_classical(ns: argparse.Namespace) -> int:
-    spectrum_table = ball_steklov_spectrum(ns.dim, ns.radius, ns.count)
-    rows = []
-    rank = 0
-    for degree, eigenvalue, mult in spectrum_table.entries:
-        for _ in range(mult):
-            rank += 1
-            if rank > ns.count:
-                break
-            rows.append((ns.dim, ns.radius, rank, degree, eigenvalue, mult))
-        if rank > ns.count:
-            break
+    entries = ball_steklov_spectrum(ns.dim, ns.radius, ns.count).entries
+    flat = itertools.islice(((j, sigma, m) for j, sigma, m in entries for _ in range(m)), ns.count)
+    rows = [(ns.dim, ns.radius, rank, *entry) for rank, entry in enumerate(flat, start=1)]
     if ns.format == "csv":
-        lines = ["dim,radius,rank,degree,eigenvalue,multiplicity"]
-        for dim, radius, rank, degree, eigenvalue, mult in rows:
-            lines.append(
-                f"{dim},{_fmt(radius)},{rank},{degree},{_fmt(eigenvalue)},{mult}"
-            )
-        _emit("\n".join(lines) + "\n", ns.out)
+        text = _csv("dim,radius,rank,degree,eigenvalue,multiplicity", (
+            f"{dim},{_fmt(radius)},{rank},{degree},{_fmt(sigma)},{mult}"
+            for dim, radius, rank, degree, sigma, mult in rows
+        ))
     else:
-        payload = {
-            "rows": [
-                {
-                    "dim": dim,
-                    "radius": radius,
-                    "rank": rank,
-                    "degree": degree,
-                    "eigenvalue": eigenvalue,
-                    "multiplicity": mult,
-                }
-                for dim, radius, rank, degree, eigenvalue, mult in rows
-            ]
-        }
-        _emit(json.dumps(payload, indent=2, allow_nan=False) + "\n", ns.out)
+        keys = ("dim", "radius", "rank", "degree", "eigenvalue", "multiplicity")
+        text = _json({"rows": [dict(zip(keys, row)) for row in rows]})
+    _emit(text, ns.out)
     return 0
 
 
@@ -401,14 +327,12 @@ def cmd_verify(ns: argparse.Namespace) -> int:
         perturb_lambda=ns.perturb_lambda,
     )
     if ns.format == "csv":
-        lines = ["suite,name,passed,residual,tolerance"]
-        for c in report.checks:
-            lines.append(
-                f"{c.suite},{c.name},{str(c.passed).lower()},{_fmt(c.residual)},{_fmt(c.tolerance)}"
-            )
-        text = "\n".join(lines) + "\n"
+        text = _csv("suite,name,passed,residual,tolerance", (
+            f"{c.suite},{c.name},{str(c.passed).lower()},{_fmt(c.residual)},{_fmt(c.tolerance)}"
+            for c in report.checks
+        ))
     else:
-        text = json.dumps(report.to_dict(), indent=2, allow_nan=False) + "\n"
+        text = _json(report.to_dict())
     _emit(text, ns.out)
     return 0 if report.passed else 1
 
@@ -423,11 +347,11 @@ _COMMANDS = {
 
 
 def main(argv: list[str] | None = None) -> int:
-    argv = list(sys.argv[1:]) if argv is None else list(argv)
-    parser = _build_parser()
-    ns = parser.parse_args(_merge_negative_values(argv))
+    argv = _merge_negative_values(list(sys.argv[1:]) if argv is None else list(argv))
     try:
-        ns = _resolve(ns)
+        if argv and argv[0] in _OPTIONS:
+            argv[1:1] = _config_tokens(argv[0], argv[1:])
+        ns = _build_parser().parse_args(argv)
         return ns.func(ns)
     except SteklovBallError as exc:
         print(f"error: {exc}", file=sys.stderr)

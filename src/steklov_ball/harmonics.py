@@ -76,6 +76,9 @@ class ModeIndex:
             raise InvalidMode(f"need 0 <= m <= l, got m = {self.m}, l = {self.l}")
         if self.parity == "odd" and self.m == 0:
             raise InvalidMode("(odd, 0, l) modes vanish identically")
+        # Plain ints, so that numpy integers pass every later degree check.
+        object.__setattr__(self, "m", int(self.m))
+        object.__setattr__(self, "l", int(self.l))
 
 
 @dataclass(frozen=True)
@@ -207,13 +210,17 @@ class Vec3:
     __rmul__ = __mul__
 
 
+def _check_l_max(l_max: int) -> None:
+    if not isinstance(l_max, (int, np.integer)) or isinstance(l_max, bool) or l_max < 0:
+        raise InvalidMode(f"l_max must be an integer >= 0, got {l_max!r}")
+
+
 def enumerate_modes(l_max: int) -> list[ModeIndex]:
     """All modes with degree at most l_max: (l_max + 1)^2 of them.
 
     Ordered by degree, then parity (even before odd), then m.
     """
-    if l_max < 0:
-        raise InvalidMode(f"l_max must be >= 0, got {l_max}")
+    _check_l_max(l_max)
     modes = []
     for l in range(l_max + 1):
         for m in range(l + 1):
@@ -414,8 +421,7 @@ class SurfaceRule:
 def surface_quadrature(l_max: int) -> SurfaceRule:
     """Surface rule integrating products of harmonics up to degree l_max
     each (polynomial degree 2 l_max + 1 in cos theta) exactly."""
-    if l_max < 0:
-        raise InvalidMode(f"l_max must be >= 0, got {l_max}")
+    _check_l_max(l_max)
     n_theta = l_max + 4
     n_phi = max(4, 2 * l_max + 2)
     gauss = gauss_legendre(n_theta)

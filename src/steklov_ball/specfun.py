@@ -212,6 +212,9 @@ def _pow(s: np.ndarray, m: int) -> np.ndarray:
     return np.array([v**m for v in s.ravel().tolist()]).reshape(s.shape)
 
 
+# Orders above about 150 overflow inside the recurrence; the finiteness
+# check at its end raises OverflowError, so numpy's warnings stay quiet.
+@np.errstate(over="ignore", invalid="ignore")
 def assoc_legendre_tower(
     m: int, l_max: int, x
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -8,12 +8,24 @@ regardless of output capture.
 
 from __future__ import annotations
 
+import os
 import time
 from contextlib import contextmanager
+from pathlib import Path
 
 import pytest
 
 CRITERION_LINES: list[tuple[int, str]] = []
+
+
+@pytest.fixture(autouse=True, scope="session")
+def _subprocesses_import_the_checkout():
+    # The CLI tests run `python -m steklov_ball.cli`; like pytest's own
+    # pythonpath setting, this finds the package under test uninstalled.
+    with pytest.MonkeyPatch.context() as mp:
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        mp.setenv("PYTHONPATH", src, prepend=os.pathsep)
+        yield
 
 
 @pytest.fixture

@@ -101,6 +101,8 @@ def test_invalid_flags_exit_2():
         ["sweep", "--l", "1:2", "--k2", "1:2", "--samples", "100001"],
         ["sweep", "--l", "1:2", "--k2", "1:2", "--samples", "5", "--threads", "0"],
         ["sweep", "--l", "1:2", "--k2", "1:2", "--samples", "5", "--threads", "65"],
+        ["eigs", "--k2", "1", "--config", "/nonexistent.cfg"],
+        ["eigs", "--k2", "1", "--out", "/nonexistent-dir/x.csv"],
     ):
         r = run_cli(*args)
         assert r.returncode == 2, args
@@ -375,3 +377,25 @@ def test_config_file_merge(tmp_path):
     r = run_cli("eigs", "--config", str(bad), "--family", "1", "--l-max", "1",
                 "--k2", "1")
     assert r.returncode == 2
+
+    # a config value is cast and checked like the flag; keys are spelled out
+    for text in ("family=x\n", "format=xml\n", "fam=2\n", "this line has no equals sign\n"):
+        bad.write_text(text)
+        r = run_cli("eigs", "--config", str(bad), "--k2", "1")
+        assert r.returncode == 2, text
+        assert r.stdout == "" and "Traceback" not in r.stderr
+    bad.write_bytes(b"\xff\xfe=1\n")
+    r = run_cli("eigs", "--config", str(bad), "--k2", "1")
+    assert r.returncode == 2 and "Traceback" not in r.stderr
+
+    # suite=a,b runs both suites; a --suite flag replaces the config's list
+    suites = tmp_path / "suites.cfg"
+    suites.write_text("suite=spot-values,classical\nformat=csv\n")
+    r = run_cli("verify", "--config", str(suites))
+    assert r.returncode == 0
+    ran = {line.split(",")[0] for line in r.stdout.strip().splitlines()[1:]}
+    assert ran == {"spot-values", "classical"}
+    r = run_cli("verify", "--config", str(suites), "--suite", "harmonics")
+    assert r.returncode == 0
+    ran = {line.split(",")[0] for line in r.stdout.strip().splitlines()[1:]}
+    assert ran == {"harmonics"}

@@ -27,6 +27,7 @@ from steklov_ball import (
     expand_field,
     gram_matrix,
     scalar_Y,
+    steklov_mode,
     surface_direction,
     surface_quadrature,
     vector_A,
@@ -48,6 +49,19 @@ def test_mode_index_validation():
         ModeIndex("even", 3, 2)
     with pytest.raises(InvalidMode):
         ModeIndex("both", 0, 1)
+
+
+def test_degree_arguments_are_integers():
+    # numpy integers are stored as int, so every later degree check
+    # accepts the mode; floats and bools are refused with the caller's value.
+    mode = ModeIndex("even", 0, np.int64(2))
+    assert type(mode.l) is int and type(mode.m) is int
+    assert mode == ModeIndex("even", 0, 2)
+    assert steklov_mode(1, ModeIndex("even", np.int64(0), np.int64(1)), 1.0).n.l == 1
+    for func in (enumerate_modes, surface_quadrature, gram_matrix):
+        for bad in (2.5, True):
+            with pytest.raises(InvalidMode, match=f"got {bad!r}$"):
+                func(bad)
 
 
 def test_enumerate_modes_count():
