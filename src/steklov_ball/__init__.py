@@ -6,156 +6,58 @@ The library computes the two explicit eigenvalue families in closed
 form, builds their eigenfields, and re-verifies every claim by an
 independent numerical route (finite differences, quadrature, root
 bracketing).  See the README for the mathematical setup.
-"""
 
-from .classical import (
-    ScalarSpectrum,
-    ball_steklov_spectrum,
-    h_half_norm,
-    harmonic_polynomial_dimension,
-    laplace_beltrami_eig,
-    multiplicity,
-    weyl_exponent_fit,
-)
-from .errors import (
-    DirichletResonance,
-    DomainError,
-    InvalidMode,
-    LengthMismatch,
-    NonRealEigenvalue,
-    QuadratureTooCoarse,
-    ScanExhausted,
-    SteklovBallError,
-    StepTooLarge,
-    ZeroEigenvalue,
-)
-from .harmonics import (
-    BallPoint,
-    ModeIndex,
-    SurfacePoint,
-    SurfaceRule,
-    Vec3,
-    check_vector_laplacian,
-    curl_radial,
-    divergence_coeffs,
-    enumerate_modes,
-    expand_field,
-    gram_matrix,
-    scalar_Y,
-    surface_direction,
-    surface_quadrature,
-    vector_A,
-    vector_A_ball,
-)
-from .radial import RadialFunction, RadialKind, RadialPair, bessel_operator, radial_profiles
-from .resonances import (
-    RootList,
-    bessel_zeros,
-    exclusion_check,
-    family1_resonances,
-    magnetic_zeros,
-    neumann_zeros,
-)
-from .specfun import (
-    QuadratureRule,
-    assoc_legendre,
-    gauss_legendre,
-    sph_bessel_j,
-    sph_bessel_j_all,
-    sph_bessel_j_deriv,
-)
-from .spectrum import (
-    ModalBoundaryData,
-    SpectrumWitness,
-    SteklovMode,
-    divergence_field,
-    eigenfield,
-    eigenfield_cartesian,
-    lambda1,
-    lambda1_theta1_alt,
-    lambda2,
-    residual_div_helmholtz,
-    residual_fourth_order,
-    residual_system,
-    solve_boundary_modal,
-    steklov_mode,
-    verify_steklov_bc,
-    verify_weak_identity,
-    zero_in_spectrum,
-)
-from .verify import Check, VerifyReport, run_suites
+Public names are imported from their module on first use (PEP 562), so
+a process loads only the modules it calls.  They are looked up on every
+access and never stored here, so a module attribute replaced at run
+time shows through.
+"""
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BallPoint",
-    "Check",
-    "DirichletResonance",
-    "DomainError",
-    "InvalidMode",
-    "LengthMismatch",
-    "ModalBoundaryData",
-    "ModeIndex",
-    "NonRealEigenvalue",
-    "QuadratureRule",
-    "QuadratureTooCoarse",
-    "RadialFunction",
-    "RadialKind",
-    "RadialPair",
-    "RootList",
-    "ScalarSpectrum",
-    "ScanExhausted",
-    "SpectrumWitness",
-    "SteklovBallError",
-    "SteklovMode",
-    "StepTooLarge",
-    "SurfacePoint",
-    "SurfaceRule",
-    "Vec3",
-    "VerifyReport",
-    "ZeroEigenvalue",
-    "assoc_legendre",
-    "ball_steklov_spectrum",
-    "bessel_operator",
-    "bessel_zeros",
-    "check_vector_laplacian",
-    "curl_radial",
-    "divergence_coeffs",
-    "divergence_field",
-    "eigenfield",
-    "eigenfield_cartesian",
-    "enumerate_modes",
-    "exclusion_check",
-    "expand_field",
-    "family1_resonances",
-    "gauss_legendre",
-    "gram_matrix",
-    "h_half_norm",
-    "harmonic_polynomial_dimension",
-    "lambda1",
-    "lambda1_theta1_alt",
-    "lambda2",
-    "laplace_beltrami_eig",
-    "magnetic_zeros",
-    "multiplicity",
-    "neumann_zeros",
-    "radial_profiles",
-    "residual_div_helmholtz",
-    "residual_fourth_order",
-    "residual_system",
-    "run_suites",
-    "scalar_Y",
-    "solve_boundary_modal",
-    "sph_bessel_j",
-    "sph_bessel_j_all",
-    "sph_bessel_j_deriv",
-    "steklov_mode",
-    "surface_direction",
-    "surface_quadrature",
-    "vector_A",
-    "vector_A_ball",
-    "verify_steklov_bc",
-    "verify_weak_identity",
-    "weyl_exponent_fit",
-    "zero_in_spectrum",
-]
+_SUBMODULES = (
+    "classical", "cli", "errors", "fd", "harmonics", "kernel",
+    "radial", "resonances", "specfun", "spectrum", "verify",
+)
+
+# Public name -> the module that defines it.
+_SOURCE = {
+    name: module
+    for module, names in {
+        "classical": "ScalarSpectrum ball_steklov_spectrum h_half_norm "
+        "harmonic_polynomial_dimension laplace_beltrami_eig multiplicity weyl_exponent_fit",
+        "errors": "DirichletResonance DomainError InvalidMode LengthMismatch NonRealEigenvalue "
+        "QuadratureTooCoarse ScanExhausted SteklovBallError StepTooLarge ZeroEigenvalue",
+        "harmonics": "BallPoint ModeIndex SurfacePoint SurfaceRule Vec3 check_vector_laplacian "
+        "curl_radial divergence_coeffs enumerate_modes expand_field gram_matrix scalar_Y "
+        "surface_direction surface_quadrature vector_A vector_A_ball",
+        "kernel": "lambda1 lambda2",
+        "radial": "RadialFunction RadialKind RadialPair bessel_operator radial_profiles",
+        "resonances": "RootList bessel_zeros exclusion_check family1_resonances "
+        "magnetic_zeros neumann_zeros",
+        "specfun": "QuadratureRule assoc_legendre gauss_legendre sph_bessel_j "
+        "sph_bessel_j_all sph_bessel_j_deriv",
+        "spectrum": "ModalBoundaryData SpectrumWitness SteklovMode divergence_field eigenfield "
+        "eigenfield_cartesian lambda1_theta1_alt residual_div_helmholtz residual_fourth_order "
+        "residual_system solve_boundary_modal steklov_mode verify_steklov_bc "
+        "verify_weak_identity zero_in_spectrum",
+        "verify": "Check VerifyReport run_suites",
+    }.items()
+    for name in names.split()
+}
+
+__all__ = sorted(_SOURCE)
+
+
+def __getattr__(name: str):
+    from importlib import import_module
+
+    if name in _SOURCE:
+        return getattr(import_module(f".{_SOURCE[name]}", __name__), name)
+    if name in _SUBMODULES:
+        return import_module(f".{name}", __name__)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__, *_SUBMODULES})

@@ -6,9 +6,11 @@ parameters, 3 for the excluded parameter k^2 = 0.
 
 Every command is deterministic for fixed flags.  `eigs` and `sweep`
 evaluate their whole table in one vectorized pass of the eigenvalue
-kernel (`spectrum.eigen_grid`), and a cell's bytes do not depend on the
-rest of the table.  Resonant cells are marked with the explicit token
-RES; no command ever prints NaN or Inf.
+kernel (`kernel.eigen_grid`) and render it from the grid, and a cell's
+bytes do not depend on the rest of the table.  Resonant cells are marked
+with the explicit token RES; no command ever prints NaN or Inf.  The
+other commands import their modules when they run, so that `eigs` and
+`sweep` load only the kernel.
 """
 
 from __future__ import annotations
@@ -23,11 +25,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .classical import ball_steklov_spectrum
 from .errors import SteklovBallError
-from .resonances import bessel_zeros, family1_resonances, magnetic_zeros, neumann_zeros
-from .spectrum import eigen_grid
-from .verify import run_suites
+from .kernel import eigen_grid
 
 __all__ = ["main"]
 
@@ -240,31 +239,53 @@ def _emit(text: str, out: str | None) -> None:
 # ----------------------------------------------------------------------
 
 
-def _grid_rows(family: int, l_lo: int, l_hi: int, k2s: list[float], theta: float) -> list[tuple]:
-    values, ok = eigen_grid(family, l_lo, l_hi, k2s, theta)
-    rows = []
-    for l, row_values, row_ok in zip(range(l_lo, l_hi + 1), values.tolist(), ok.tolist()):
-        for k2, value, good in zip(k2s, row_values, row_ok):
-            rows.append((family, l, theta, k2, value if good else None, "OK" if good else "RES"))
-    return rows
+# Table text per format: a row's lead up to its k2, then its rest when OK
+# (the value left as a %-field) and when RES.  '%.17g' and '%r' print a
+# float as _fmt and json.dumps do.  Every JSON row leads with the comma
+# that separates it from the one before; the first row's is cut.
+_TABLE_PARTS = {
+    "csv": ("\n{family},{l},{theta},", "{k2},%.17g,OK", "{k2},,RES"),
+    "json": (
+        ',\n    {{\n      "family": {family},\n      "l": {l},\n      "theta": {theta},\n',
+        '      "k2": {k2},\n      "lambda": %r,\n      "status": "OK"\n    }}',
+        '      "k2": {k2},\n      "lambda": null,\n      "status": "RES"\n    }}',
+    ),
+}
 
 
-def _table_text(rows: list[tuple[int, int, float, float, float | None, str]], fmt: str) -> str:
+def _table_text(fmt: str, family: int, theta: float, degrees: range, k2s: list[float],
+                values: np.ndarray, ok: np.ndarray) -> str:
+    """The eigs/sweep table of `eigen_grid`'s (values, ok), degrees by k2s,
+    in the bytes of per-cell _fmt lines or of json.dumps(indent=2).
+
+    Theta and each k2 are formatted once per table, and each degree's OK
+    values in one %-operation.
+    """
+    num = _fmt if fmt == "csv" else repr
+    lead, ok_rest, res_rest = _TABLE_PARTS[fmt]
+    theta_text = num(theta)
+    rests = [(ok_rest.format(k2=num(k2)), res_rest.format(k2=num(k2))) for k2 in k2s]
+    body = []
+    for l, row_values, row_ok in zip(degrees, values.tolist(), ok.tolist()):
+        row_lead = lead.format(family=family, l=l, theta=theta_text)
+        template = "".join([row_lead + rest[not good] for rest, good in zip(rests, row_ok)])
+        body.append(template % tuple([value for value, good in zip(row_values, row_ok) if good]))
+    text = "".join(body)
     if fmt == "csv":
-        return _csv(_TABLE_HEADER, (
-            f"{family},{l},{_fmt(theta)},{_fmt(k2)},{'' if value is None else _fmt(value)},{status}"
-            for family, l, theta, k2, value, status in rows
-        ))
-    keys = ("family", "l", "theta", "k2", "lambda", "status")
-    return _json({"rows": [dict(zip(keys, row)) for row in rows]})
+        return f"{_TABLE_HEADER}{text}\n"
+    return '{\n  "rows": [' + text[1:] + ("\n  ]\n}\n" if text else "]\n}\n")
+
+
+def _emit_grid(ns: argparse.Namespace, l_lo: int, l_hi: int, k2s: list[float]) -> None:
+    values, ok = eigen_grid(ns.family, l_lo, l_hi, k2s, ns.theta)
+    _emit(_table_text(ns.format, ns.family, ns.theta, range(l_lo, l_hi + 1), k2s, values, ok), ns.out)
 
 
 def cmd_eigs(ns: argparse.Namespace) -> int:
     if ns.k2 == 0.0:
         print("error: k2 = 0 is outside the eigenvalue problem's range", file=sys.stderr)
         return 3
-    rows = _grid_rows(ns.family, 1, ns.l_max, [ns.k2], ns.theta)
-    _emit(_table_text(rows, ns.format), ns.out)
+    _emit_grid(ns, 1, ns.l_max, [ns.k2])
     return 0
 
 
@@ -279,12 +300,13 @@ def cmd_sweep(ns: argparse.Namespace) -> int:
         print("error: k2 = 0 is outside the eigenvalue problem's range", file=sys.stderr)
         return 3
     k2_values = np.linspace(k2_lo, k2_hi, ns.samples).tolist()
-    rows = _grid_rows(ns.family, *ns.l, k2_values, ns.theta)
-    _emit(_table_text(rows, ns.format), ns.out)
+    _emit_grid(ns, *ns.l, k2_values)
     return 0
 
 
 def cmd_zeros(ns: argparse.Namespace) -> int:
+    from .resonances import bessel_zeros, family1_resonances, magnetic_zeros, neumann_zeros
+
     if ns.kind == "family1":
         roots = family1_resonances(ns.l, ns.theta, ns.count)
     else:
@@ -304,6 +326,8 @@ def cmd_zeros(ns: argparse.Namespace) -> int:
 
 
 def cmd_classical(ns: argparse.Namespace) -> int:
+    from .classical import ball_steklov_spectrum
+
     entries = ball_steklov_spectrum(ns.dim, ns.radius, ns.count).entries
     flat = itertools.islice(((j, sigma, m) for j, sigma, m in entries for _ in range(m)), ns.count)
     rows = [(ns.dim, ns.radius, rank, *entry) for rank, entry in enumerate(flat, start=1)]
@@ -320,6 +344,8 @@ def cmd_classical(ns: argparse.Namespace) -> int:
 
 
 def cmd_verify(ns: argparse.Namespace) -> int:
+    from .verify import run_suites
+
     report = run_suites(
         suites=ns.suite,
         l_max=ns.l_max,

@@ -1,0 +1,148 @@
+"""The production eigenvalue kernel: both explicit Steklov eigenvalue
+families of the penalized curl-curl operator on the unit ball, from one
+real Bessel ratio (see `eigen_grid`).
+
+`eigs`, `sweep` and the public lambda1/lambda2 run on this module alone;
+it imports nothing of the verification layer, which checks it by
+independent routes (complex Bessel towers, eigenfields, residuals).
+"""
+
+from __future__ import annotations
+
+import math
+
+import numpy as np
+
+from .errors import DirichletResonance, DomainError, InvalidMode
+
+__all__ = ["eigen_grid", "lambda1", "lambda2"]
+
+_L_MAX = 200  # the highest degree l that any entry point of the package accepts
+
+
+def _check_theta(theta: float) -> float:
+    if isinstance(theta, complex) or not (0.0 < float(theta) < math.inf):
+        raise DomainError(f"theta must be positive and finite, got {theta!r}")
+    return float(theta)
+
+
+def _validate_eig_args(l: int, k2: float, theta: float = 1.0) -> tuple[float, float]:
+    if not isinstance(l, int) or isinstance(l, bool) or not 1 <= l <= _L_MAX:
+        raise InvalidMode(f"degree l must be an integer in [1, {_L_MAX}], got {l!r}")
+    if isinstance(k2, complex):
+        raise InvalidMode(f"k2 must be real, got {k2!r}")
+    k2 = float(k2)
+    if not math.isfinite(k2) or k2 == 0.0:
+        raise InvalidMode(f"k2 must be finite and nonzero, got {k2!r}")
+    theta = _check_theta(theta)
+    # The continued fraction starts above |k| and |q|, so both are bounded.
+    if max(abs(k2), abs(k2) / theta) > 1e10:
+        raise DomainError(f"|k2| and |k2/theta| must be at most 1e10, got {k2!r}, {theta!r}")
+    return k2, theta
+
+
+def _ratio(l: int, z2: float) -> float:
+    t = math.sqrt(abs(z2))
+    n = _L_MAX + 2 + math.ceil(math.sqrt(40.0 * t)) + (math.ceil(t) if z2 > 0.0 else 0)
+    rho = n + 1.5 + math.sqrt((n + 1.5) ** 2 - z2)
+    for c in range(2 * n + 1, 2 * l + 1, -2):
+        rho = c - z2 / rho
+    return rho
+
+
+def _ratio_grid(l_lo: int, l_hi: int, z2: np.ndarray) -> np.ndarray:
+    """`_ratio` for degrees l_lo..l_hi (rows) at every sample, in one pass."""
+    t = np.sqrt(np.abs(z2))
+    starts = _L_MAX + 2 + np.ceil(np.sqrt(40.0 * t)) + np.where(z2 > 0.0, np.ceil(t), 0.0)
+    rows = np.empty((l_hi - l_lo + 1, z2.size))
+    rho = np.ones_like(z2)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for n in range(int(starts.max(initial=0.0)), l_lo - 1, -1):
+            start = n + 1.5 + np.sqrt((n + 1.5) ** 2 - z2)
+            rho = np.where(n < starts, (2 * n + 3) - z2 / rho, start)
+            if n <= l_hi:
+                rows[n - l_lo] = rho
+    return rows
+
+
+def _cells(family: int, l, k2, rho_k, rho_q, theta: float):
+    """Eigenvalue and off-pole flag, elementwise on floats or arrays."""
+    if family == 2:
+        return k2 / rho_k - (l + 1), abs(rho_k) >= 1e-12 * abs(l * rho_k - k2)
+    w = (l + 1) / (theta * (l * rho_q - k2 / theta))
+    den = 1.0 / rho_k + w
+    return -1.0 / den, (abs(den) >= 1e-10 * abs(1.0 / rho_k)) & (abs(den) >= 1e-10 * abs(w))
+
+
+def eigen_grid(family: int, l_lo: int, l_hi: int, k2s, theta: float = 1.0):
+    """Eigenvalues of one family for degrees l_lo..l_hi (rows) at every k^2.
+
+    Returns arrays ``(values, ok)``; ``ok`` is False, and ``values`` NaN, at
+    the poles where lambda1/lambda2 raise and at k^2 = 0.  Both families
+    are functions of rho_l(z^2) = z j_l(z) / j_{l+1}(z), real for real z^2,
+    from the backward continued fraction rho_l = 2l+3 - z^2/rho_{l+1}
+    (Gautschi, SIAM Rev. 9, 1967; DLMF 10.51): lambda2 = k^2/rho_k - (l+1)
+    and lambda1 = -1 / (1/rho_k + (l+1) / (theta (l rho_q - q^2))) with
+    q^2 = k^2/theta, where IEEE infinities give the limit at a zero of
+    j_l(k), j_l'(q), or j_{l+1} off theta = 1.  Poles as in the Bessel
+    forms: family 2 where |j_l(k)| < 1e-12 |k j_l'(k)|, family 1 where its
+    two denominator terms cancel to 1e-10.  Each sample starts at its own
+    depth, above every degree and the turning point |z|, plus sqrt(40 |z|)
+    degrees that damp the error of Debye's fixed point below roundoff; so
+    a cell equals lambda1/lambda2 bit for bit, in any grid.
+    """
+    k2 = np.asarray(k2s, dtype=float)
+    if family not in (1, 2):
+        raise InvalidMode(f"family must be 1 or 2, got {family!r}")
+    if l_lo > l_hi:
+        raise InvalidMode(f"degree range {l_lo!r}..{l_hi!r} is empty")
+    if k2.ndim != 1:
+        raise InvalidMode(f"k2s must be 1-d, got {k2.ndim}-d")
+    if not np.all(np.isfinite(k2)):
+        raise InvalidMode(f"k2s must be finite, got {float(k2[~np.isfinite(k2)][0])!r}")
+    _validate_eig_args(l_lo, 1.0)
+    _, theta = _validate_eig_args(l_hi, float(np.max(np.abs(k2), initial=0.0)) or 1.0, theta)
+    rho_k = _ratio_grid(l_lo, l_hi, k2)
+    rho_q = rho_k if family == 2 or theta == 1.0 else _ratio_grid(l_lo, l_hi, k2 / theta)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        values, ok = _cells(family, np.arange(l_lo, l_hi + 1.0)[:, None], k2, rho_k, rho_q, theta)
+    ok &= np.isfinite(values) & (k2 != 0.0)
+    values[~ok] = np.nan
+    return values, ok
+
+
+def _eigenvalue(family: int, l: int, k2: float, theta: float) -> float:
+    k2, theta = _validate_eig_args(l, k2, theta)
+    try:
+        rho_k = _ratio(l, k2)
+        rho_q = rho_k if family == 2 or theta == 1.0 else _ratio(l, k2 / theta)
+        value, ok = _cells(family, l, k2, rho_k, rho_q, theta)
+    except ZeroDivisionError:  # a Bessel zero hit exactly: IEEE infinities give the limit
+        values, oks = eigen_grid(family, l, l, [k2], theta)
+        value, ok = float(values[0, 0]), bool(oks[0, 0])
+    if not (ok and math.isfinite(value)):
+        raise DirichletResonance(f"family-{family} pole at l = {l}, k2 = {k2}, theta = {theta}")
+    return value
+
+
+def lambda1(l: int, k2: float, theta: float = 1.0) -> float:
+    """Family-1 Steklov eigenvalue.
+
+    lambda = -[j_l'(q) j_l(k) q k^2] /
+             [j_l(q) j_l(k) l(l+1) - j_l'(q) j_l'(k) k^2/sqrt(theta)
+              - j_l'(q) j_l(k) k/sqrt(theta)],  q = k/sqrt(theta).
+
+    Raises DirichletResonance at the poles (Dirichlet eigenvalues of the
+    interior problem), InvalidMode for l outside [1, 200] or k2 = 0, and
+    DomainError for |k2| or |k2/theta| above 1e10.
+    """
+    return _eigenvalue(1, l, k2, theta)
+
+
+def lambda2(l: int, k2: float) -> float:
+    """Family-2 Steklov eigenvalue -(j_l(k) + k j_l'(k)) / j_l(k).
+
+    Independent of the penalty parameter.  Raises DirichletResonance
+    when j_l(k) vanishes (within 1e-12 of the k j_l'(k) scale).
+    """
+    return _eigenvalue(2, l, k2, 1.0)

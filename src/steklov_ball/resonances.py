@@ -43,7 +43,8 @@ from dataclasses import dataclass
 from typing import Callable
 
 from .errors import DomainError, InvalidMode, ScanExhausted
-from .specfun import _L_MAX, sph_bessel_j_all
+from .kernel import _L_MAX, _check_theta
+from .specfun import sph_bessel_j_all
 
 __all__ = [
     "RootList",
@@ -207,12 +208,6 @@ def _validate_counts(l: int, count: int, l_min: int) -> None:
         raise DomainError(f"count must be a positive integer, got {count!r}")
     if count > 100:
         raise DomainError(f"count must be <= 100, got {count}")
-
-
-def _check_theta(theta: float) -> float:
-    if isinstance(theta, complex) or not (0.0 < float(theta) < math.inf):
-        raise DomainError(f"theta must be positive and finite, got {theta!r}")
-    return float(theta)
 
 
 def _check_query(k2: float, theta: float, l_max: int) -> tuple[float, float]:

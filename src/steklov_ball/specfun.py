@@ -16,6 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, LengthMismatch
+from .kernel import _L_MAX
 
 __all__ = [
     "sph_bessel_j_all",
@@ -26,8 +27,6 @@ __all__ = [
     "gauss_legendre",
     "QuadratureRule",
 ]
-
-_L_MAX = 200
 
 # sin/cos overflow on the imaginary axis around |Im z| ~ 709; refuse a
 # little earlier so the seeds j_0, j_1 are always finite.

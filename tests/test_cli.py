@@ -13,6 +13,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 jsonschema = pytest.importorskip("jsonschema")
@@ -110,6 +111,16 @@ def test_invalid_flags_exit_2():
         assert "Traceback" not in r.stderr
 
 
+def test_eigen_grid_faults_have_their_own_message():
+    for args, message in (
+        (["eigs", "--k2", "1", "--l-max", "0"], "error: degree range 1..0 is empty\n"),
+        (["eigs", "--family", "3", "--k2", "1"], "error: family must be 1 or 2, got 3\n"),
+        (["sweep", "--family", "0", "--l", "1:2", "--k2", "1:2"], "error: family must be 1 or 2, got 0\n"),
+    ):
+        r = run_cli(*args)
+        assert (r.returncode, r.stdout, r.stderr) == (2, "", message), args
+
+
 def test_thread_environment_is_validated():
     # The sweep is single-threaded; the variable is range-checked only.
     args = ["sweep", "--l", "1:2", "--k2", "1:2", "--samples", "5"]
@@ -183,48 +194,87 @@ def test_cell_bytes_do_not_depend_on_the_table():
 
 def test_table_text_golden_bytes():
     # CSV uses .17g; JSON keeps json.dumps(indent=2) with repr floats.
+    # The rows mix families, so each is rendered as its own one-cell grid.
     rows = [
         (1, 1, 1.0, -100.0, -1.3796666252553651, "OK"),
         (1, 2, 0.5, 0.1, None, "RES"),
         (2, 10, 2.0, 1e-300, 12345678.901234567, "OK"),
     ]
-    assert _table_text(rows, "csv") == (
-        "family,l,theta,k2,lambda,status\n"
-        "1,1,1,-100,-1.3796666252553651,OK\n"
-        "1,2,0.5,0.10000000000000001,,RES\n"
-        "2,10,2,1e-300,12345678.901234567,OK\n"
-    )
-    assert _table_text(rows, "json") == """{
-  "rows": [
-    {
+    csv_lines = [
+        "1,1,1,-100,-1.3796666252553651,OK",
+        "1,2,0.5,0.10000000000000001,,RES",
+        "2,10,2,1e-300,12345678.901234567,OK",
+    ]
+    json_rows = [
+        """    {
       "family": 1,
       "l": 1,
       "theta": 1.0,
       "k2": -100.0,
       "lambda": -1.379666625255365,
       "status": "OK"
-    },
-    {
+    }""",
+        """    {
       "family": 1,
       "l": 2,
       "theta": 0.5,
       "k2": 0.1,
       "lambda": null,
       "status": "RES"
-    },
-    {
+    }""",
+        """    {
       "family": 2,
       "l": 10,
       "theta": 2.0,
       "k2": 1e-300,
       "lambda": 12345678.901234567,
       "status": "OK"
-    }
-  ]
-}
-"""
-    assert _table_text([], "csv") == "family,l,theta,k2,lambda,status\n"
-    assert _table_text([], "json") == '{\n  "rows": []\n}\n'
+    }""",
+    ]
+    for (family, l, theta, k2, value, status), csv_line, json_row in zip(rows, csv_lines, json_rows):
+        grid = (
+            family, theta, range(l, l + 1), [k2],
+            np.array([[math.nan if value is None else value]]), np.array([[status == "OK"]]),
+        )
+        assert _table_text("csv", *grid) == f"family,l,theta,k2,lambda,status\n{csv_line}\n"
+        assert _table_text("json", *grid) == f'{{\n  "rows": [\n{json_row}\n  ]\n}}\n'
+    empty = (1, 1.0, range(1, 1), [], np.empty((0, 0)), np.empty((0, 0), dtype=bool))
+    assert _table_text("csv", *empty) == "family,l,theta,k2,lambda,status\n"
+    assert _table_text("json", *empty) == '{\n  "rows": []\n}\n'
+
+
+def _table_oracle(fmt, family, theta, degrees, k2s, values, ok) -> str:
+    rows = [
+        (family, l, theta, k2, value if good else None, "OK" if good else "RES")
+        for l, row_values, row_ok in zip(degrees, values.tolist(), ok.tolist())
+        for k2, value, good in zip(k2s, row_values, row_ok)
+    ]
+    if fmt == "csv":
+        return "family,l,theta,k2,lambda,status\n" + "".join(
+            f"{f},{l},{format(t, '.17g')},{format(k2, '.17g')},"
+            f"{'' if value is None else format(value, '.17g')},{status}\n"
+            for f, l, t, k2, value, status in rows
+        )
+    keys = ("family", "l", "theta", "k2", "lambda", "status")
+    return json.dumps({"rows": [dict(zip(keys, row)) for row in rows]}, indent=2) + "\n"
+
+
+def test_table_text_matches_per_cell_formatting():
+    c11 = np.linspace(-100.0, 100.0, 2001).tolist()
+    edge_k2s = [-1e6, -2.5, -0.0, 0.0, 1e-300, 0.1, 3.75, 1e4]
+    edge_values, edge_ok = steklov_ball.kernel.eigen_grid(1, 190, 200, edge_k2s, 0.7)
+    edge_values[:, ::2] *= -1.0  # mixed signs
+    edge_values[0, :3] = [5e-324, -1.7976931348623157e308, 1e16]
+    edge_ok[4, 5:7] = False  # RES cells inside the grid as well as at k2 = 0
+    grids = [
+        (1, 0.5, range(1, 11), c11, *steklov_ball.kernel.eigen_grid(1, 1, 10, c11, 0.5)),
+        (2, 1.0, range(1, 11), c11, *steklov_ball.kernel.eigen_grid(2, 1, 10, c11)),
+        (1, 0.7, range(190, 201), edge_k2s, edge_values, edge_ok),
+    ]
+    assert edge_ok.any() and not edge_ok[:, 3].any() and not edge_ok[4, 5]
+    for grid in grids:
+        for fmt in ("csv", "json"):
+            assert _table_text(fmt, *grid) == _table_oracle(fmt, *grid), (fmt, grid[:2])
 
 
 def test_sweep_thread_count_invariance():

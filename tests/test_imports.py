@@ -1,0 +1,85 @@
+"""The import graph: the production path (cli, kernel, resonances,
+classical, errors) loads no verification module, a sweep process loads
+only what it runs, and the package's public names resolve lazily
+without being cached."""
+
+from __future__ import annotations
+
+import json
+import subprocess
+import sys
+
+import steklov_ball
+
+PUBLIC_NAMES = """
+BallPoint Check DirichletResonance DomainError InvalidMode LengthMismatch ModalBoundaryData
+ModeIndex NonRealEigenvalue QuadratureRule QuadratureTooCoarse RadialFunction RadialKind
+RadialPair RootList ScalarSpectrum ScanExhausted SpectrumWitness SteklovBallError SteklovMode
+StepTooLarge SurfacePoint SurfaceRule Vec3 VerifyReport ZeroEigenvalue assoc_legendre
+ball_steklov_spectrum bessel_operator bessel_zeros check_vector_laplacian curl_radial
+divergence_coeffs divergence_field eigenfield eigenfield_cartesian enumerate_modes
+exclusion_check expand_field family1_resonances gauss_legendre gram_matrix h_half_norm
+harmonic_polynomial_dimension lambda1 lambda1_theta1_alt lambda2 laplace_beltrami_eig
+magnetic_zeros multiplicity neumann_zeros radial_profiles residual_div_helmholtz
+residual_fourth_order residual_system run_suites scalar_Y solve_boundary_modal sph_bessel_j
+sph_bessel_j_all sph_bessel_j_deriv steklov_mode surface_direction surface_quadrature vector_A
+vector_A_ball verify_steklov_bc verify_weak_identity weyl_exponent_fit zero_in_spectrum
+""".split()
+SUBMODULES = """
+classical cli errors fd harmonics kernel radial resonances specfun spectrum verify
+""".split()
+VERIFICATION = {f"steklov_ball.{m}" for m in ("fd", "harmonics", "radial", "spectrum", "verify")}
+
+
+def loaded_modules(code: str) -> set[str]:
+    """The steklov_ball modules in sys.modules after `code` runs in a
+    fresh interpreter."""
+    script = f"{code}\nimport json, sys\nprint(json.dumps(sorted(sys.modules)))"
+    r = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    assert r.returncode == 0, r.stderr
+    names = json.loads(r.stdout.splitlines()[-1])
+    return {name for name in names if name.split(".")[0] == "steklov_ball"}
+
+
+def test_production_modules_import_no_verification_module():
+    loaded = loaded_modules(
+        "import steklov_ball.cli, steklov_ball.kernel, steklov_ball.resonances, "
+        "steklov_ball.classical, steklov_ball.errors"
+    )
+    assert not loaded & VERIFICATION, sorted(loaded & VERIFICATION)
+
+
+def test_sweep_process_loads_only_cli_errors_and_kernel():
+    loaded = loaded_modules(
+        "import contextlib, io\n"
+        "from steklov_ball import cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    assert cli.main(['sweep', '--l', '1:3', '--k2=-10:10', '--samples', '9']) == 0"
+    )
+    assert loaded == {"steklov_ball", "steklov_ball.cli", "steklov_ball.errors", "steklov_ball.kernel"}
+
+
+def test_public_names_and_submodules_resolve():
+    assert steklov_ball.__all__ == sorted(PUBLIC_NAMES)
+    for name in PUBLIC_NAMES:
+        value = getattr(steklov_ball, name)
+        assert getattr(sys.modules[value.__module__], name) is value, name
+    for name in SUBMODULES:
+        assert getattr(steklov_ball, name) is sys.modules[f"steklov_ball.{name}"]
+    star: dict = {}
+    exec("from steklov_ball import *", star)
+    assert set(star) - {"__builtins__"} == set(PUBLIC_NAMES)
+    assert [n for n in dir(steklov_ball) if not n.startswith("_")] == sorted(PUBLIC_NAMES + SUBMODULES)
+
+
+def test_public_names_are_not_cached(monkeypatch):
+    original = steklov_ball.resonances.bessel_zeros
+
+    def sentinel(l, count):
+        raise AssertionError("unreachable")
+
+    monkeypatch.setattr(steklov_ball.resonances, "bessel_zeros", sentinel)
+    assert steklov_ball.bessel_zeros is sentinel
+    monkeypatch.undo()
+    assert steklov_ball.bessel_zeros is original
+    assert "bessel_zeros" not in vars(steklov_ball)

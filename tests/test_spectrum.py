@@ -45,7 +45,7 @@ from steklov_ball import (
     verify_weak_identity,
     zero_in_spectrum,
 )
-from steklov_ball import fd, spectrum
+from steklov_ball import fd, kernel
 from steklov_ball.harmonics import surface_quadrature, vector_A
 from steklov_ball.spectrum import _surface_sums, eigen_grid
 from steklov_ball.verify import _WEAK_MODES
@@ -155,7 +155,7 @@ def test_exact_bessel_zero_on_the_recurrence_is_removable():
     # At this k^2 the continued fraction hits rho_4 = z j_4 / j_5 = 0.0
     # exactly, so rho_3 is infinite in IEEE arithmetic.
     z2 = 66.9543119251048
-    assert spectrum._ratio(4, z2) == 0.0
+    assert kernel._ratio(4, z2) == 0.0
     assert lambda2(3, z2) == pytest.approx(-4.0000000000000006609, rel=1e-14)
     assert lambda1(3, z2, 0.5) == pytest.approx(47.697725954894709718, rel=1e-13)
     assert lambda1(3, 2.0 * z2, 2.0) == pytest.approx(82.55772792964937161, rel=1e-13)
@@ -190,12 +190,19 @@ def test_eigen_grid_marks_zero_k2_and_validates():
     values, ok = eigen_grid(1, 1, 2, [-1.0, 0.0, 1.0])
     assert ok.tolist() == [[True, False, True], [True, False, True]]
     assert np.isnan(values[:, 1]).all()
-    with pytest.raises(InvalidMode):
+    # One message per fault, naming what is wrong.
+    with pytest.raises(InvalidMode, match=r"^family must be 1 or 2, got 3$"):
         eigen_grid(3, 1, 2, [1.0])
-    with pytest.raises(InvalidMode):
-        eigen_grid(2, 1, 201, [1.0])
-    with pytest.raises(InvalidMode):
+    with pytest.raises(InvalidMode, match=r"^degree range 5\.\.4 is empty$"):
+        eigen_grid(1, 5, 4, [1.0])
+    with pytest.raises(InvalidMode, match=r"^k2s must be 1-d, got 2-d$"):
+        eigen_grid(2, 1, 2, [[1.0, 2.0]])
+    with pytest.raises(InvalidMode, match=r"^k2s must be finite, got nan$"):
         eigen_grid(2, 1, 2, [1.0, float("nan")])
+    with pytest.raises(InvalidMode, match=r"^k2s must be finite, got -inf$"):
+        eigen_grid(1, 1, 2, [-math.inf, 1.0])
+    with pytest.raises(InvalidMode, match=r"^degree l must be an integer in \[1, 200\], got 201$"):
+        eigen_grid(2, 1, 201, [1.0])
     with pytest.raises(DomainError):
         eigen_grid(1, 1, 2, [1e9], theta=0.01)  # |k2/theta| above 1e10
     with pytest.raises(InvalidMode):
