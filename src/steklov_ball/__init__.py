@@ -27,7 +27,8 @@ _SOURCE = {
         "classical": "ScalarSpectrum ball_steklov_spectrum h_half_norm "
         "harmonic_polynomial_dimension laplace_beltrami_eig multiplicity weyl_exponent_fit",
         "errors": "DirichletResonance DomainError InvalidMode LengthMismatch NonRealEigenvalue "
-        "QuadratureTooCoarse ScanExhausted SteklovBallError StepTooLarge ZeroEigenvalue",
+        "NotRepresentable QuadratureTooCoarse ScanExhausted SteklovBallError StepTooLarge "
+        "ZeroEigenvalue",
         "harmonics": "BallPoint ModeIndex SurfacePoint SurfaceRule Vec3 check_vector_laplacian "
         "curl_radial divergence_coeffs enumerate_modes expand_field gram_matrix scalar_Y "
         "surface_direction surface_quadrature vector_A vector_A_ball",

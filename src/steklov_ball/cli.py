@@ -19,7 +19,6 @@ import argparse
 import itertools
 import json
 import math
-import os
 import sys
 from pathlib import Path
 
@@ -290,9 +289,8 @@ def cmd_eigs(ns: argparse.Namespace) -> int:
 
 
 def cmd_sweep(ns: argparse.Namespace) -> int:
-    given = os.environ.get("STEKLOV_BALL_THREADS", "4") if ns.threads is None else str(ns.threads)
-    if given not in {str(n) for n in range(1, _MAX_THREADS + 1)}:
-        raise SteklovBallError(f"--threads/STEKLOV_BALL_THREADS {given!r} not in 1..{_MAX_THREADS}")
+    if ns.threads is not None and not (1 <= ns.threads <= _MAX_THREADS):
+        raise SteklovBallError(f"--threads must be in [1, {_MAX_THREADS}], got {ns.threads}")
     if not (1 <= ns.samples <= _MAX_SAMPLES):
         raise SteklovBallError(f"--samples must be in [1, {_MAX_SAMPLES}], got {ns.samples}")
     k2_lo, k2_hi = ns.k2

@@ -19,6 +19,10 @@ class DomainError(SteklovBallError, ValueError):
     """A coordinate argument lies outside the domain of the function."""
 
 
+class NotRepresentable(DomainError, OverflowError):
+    """A value the argument asks for lies beyond double-precision range."""
+
+
 class StepTooLarge(SteklovBallError, ValueError):
     """A finite-difference stencil would leave the region of validity."""
 

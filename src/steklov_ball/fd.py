@@ -42,6 +42,13 @@ def _point(p: Sequence[float]) -> np.ndarray:
     return p
 
 
+def _maybe_richardson(stencil, h: float, richardson: bool):
+    # The O(h^2) stencil at h, or one Richardson level from h and h/2.
+    if not richardson:
+        return stencil(h)
+    return (4.0 * stencil(0.5 * h) - stencil(h)) / 3.0
+
+
 def derivative(f, x: float, h: float, order: int = 1, richardson: bool = False):
     """Derivative of a single-variable function by central differences.
 
@@ -58,9 +65,7 @@ def derivative(f, x: float, h: float, order: int = 1, richardson: bool = False):
             return (f(x + step) - f(x - step)) / (2.0 * step)
         return (f(x + step) - 2.0 * f(x) + f(x - step)) / (step * step)
 
-    if not richardson:
-        return stencil(h)
-    return (4.0 * stencil(0.5 * h) - stencil(h)) / 3.0
+    return _maybe_richardson(stencil, h, richardson)
 
 
 def _partial(f: Scalar, p: np.ndarray, axis: int, h: float):
@@ -75,19 +80,13 @@ def _partial2(f: Scalar, p: np.ndarray, axis: int, h: float, center):
     return (f(p + e) - 2.0 * center + f(p - e)) / (h * h)
 
 
-def _maybe_richardson(stencil, h: float, richardson: bool):
-    if not richardson:
-        return np.asarray(stencil(h))
-    return (4.0 * np.asarray(stencil(0.5 * h)) - np.asarray(stencil(h))) / 3.0
-
-
 def gradient(f: Scalar, p, h: float, richardson: bool = False) -> np.ndarray:
     """Gradient of a scalar field at a point, as a length-3 array."""
     h = _validate_step(h)
     p = _point(p)
 
     def stencil(step):
-        return [_partial(f, p, axis, step) for axis in range(3)]
+        return np.asarray([_partial(f, p, axis, step) for axis in range(3)])
 
     return _maybe_richardson(stencil, h, richardson)
 
@@ -107,9 +106,7 @@ def divergence(field: Vector, p, h: float, richardson: bool = False):
             total = total + (plus[axis] - minus[axis]) / (2.0 * step)
         return total
 
-    if not richardson:
-        return stencil(h)
-    return (4.0 * stencil(0.5 * h) - stencil(h)) / 3.0
+    return _maybe_richardson(stencil, h, richardson)
 
 
 def curl(field: Vector, p, h: float, richardson: bool = False) -> np.ndarray:
@@ -149,9 +146,7 @@ def scalar_laplacian(f: Scalar, p, h: float, richardson: bool = False):
         center = f(p)
         return sum(_partial2(f, p, axis, step, center) for axis in range(3))
 
-    if not richardson:
-        return stencil(h)
-    return (4.0 * stencil(0.5 * h) - stencil(h)) / 3.0
+    return _maybe_richardson(stencil, h, richardson)
 
 
 def vector_laplacian(field: Vector, p, h: float, richardson: bool = False) -> np.ndarray:

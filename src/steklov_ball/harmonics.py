@@ -253,17 +253,20 @@ def scalar_Y(n: ModeIndex, p: SurfacePoint) -> float:
     return _angular_derivatives(n, p)[0]
 
 
-def _angular_derivatives(n: ModeIndex, p: SurfacePoint) -> tuple[float, float, float]:
-    # (Y, dY/dtheta, (1/sin theta) dY/dphi); the last stays finite at
-    # the poles because P_l^m / sin(theta) is regular for m >= 1 and the
-    # m = 0 azimuthal derivative vanishes identically.
-    values, dtheta, over_sin = assoc_legendre_tower(n.m, n.l, math.cos(p.theta))
+def _angular(n: ModeIndex, tower, phi):
+    # (Y, dY/dtheta, (1/sin theta) dY/dphi) from the order-m Legendre
+    # tower at one point or over a table, with phi the matching
+    # azimuth(s).  The last stays finite at the poles because
+    # P_l^m / sin(theta) is regular for m >= 1; for m = 0 the tower's
+    # quotient row and the azimuthal derivative are both exactly zero.
+    values, dtheta, over_sin = tower
     c = _norm_const(n.l, n.m)
-    trig, dtrig = _azimuth(n, p.phi)
-    y = c * values[n.l] * trig
-    a = c * dtheta[n.l] * trig
-    b = c * over_sin[n.l] * dtrig if n.m >= 1 else 0.0
-    return y, a, b
+    trig, dtrig = _azimuth(n, phi)
+    return c * values[n.l] * trig, c * dtheta[n.l] * trig, c * over_sin[n.l] * dtrig
+
+
+def _angular_derivatives(n: ModeIndex, p: SurfacePoint) -> tuple[float, float, float]:
+    return _angular(n, assoc_legendre_tower(n.m, n.l, math.cos(p.theta)), p.phi)
 
 
 def _validate_tau(tau: int, n: ModeIndex) -> None:
@@ -273,16 +276,21 @@ def _validate_tau(tau: int, n: ModeIndex) -> None:
         raise InvalidMode("tangential harmonics vanish for l = 0")
 
 
+def _components(tau: int, l: int, y, a, b) -> tuple:
+    # Local-frame components of A_tau from the angular derivatives
+    # (y, a, b) of its scalar mode, at one point or over a table.
+    if tau == 3:
+        return y, 0.0, 0.0
+    root = math.sqrt(l * (l + 1))
+    if tau == 2:
+        return 0.0, a / root, b / root
+    return 0.0, b / root, -a / root
+
+
 def vector_A(tau: int, n: ModeIndex, p: SurfacePoint) -> Vec3:
     """Vector spherical harmonic A_{tau n} at a surface point."""
     _validate_tau(tau, n)
-    y, a, b = _angular_derivatives(n, p)
-    if tau == 3:
-        return Vec3(y, 0.0, 0.0)
-    root = math.sqrt(n.l * (n.l + 1))
-    if tau == 2:
-        return Vec3(0.0, a / root, b / root)
-    return Vec3(0.0, b / root, -a / root)
+    return Vec3(*_components(tau, n.l, *_angular_derivatives(n, p)))
 
 
 def vector_A_ball(tau: int, n: ModeIndex, p: BallPoint) -> Vec3:
@@ -329,12 +337,13 @@ def curl_radial(tau: int, n: ModeIndex, f, rf_prime_over_r, r: float):
     return (root * f / r, 0.0, 0.0)
 
 
-def _laplacian_coeffs(tau: int, l: int, f, df, d2f, r: float):
-    # Modal coefficients of the vector Laplacian of f(r) A_{tau}:
-    #   Delta(f A_1) = (f'' + 2f'/r - l(l+1) f/r^2) A_1
-    #   Delta(f A_2) = (f'' + 2f'/r - l(l+1) f/r^2) A_2 + 2 sqrt(l(l+1)) f/r^2 A_3
-    #   Delta(f A_3) = (f'' + 2f'/r - (2 + l(l+1)) f/r^2) A_3 + 2 sqrt(l(l+1)) f/r^2 A_2
-    lap = d2f + 2.0 * df / r
+def _laplacian_coeffs(tau: int, l: int, f, df, r: float):
+    # Modal coefficients of the vector Laplacian of f(r) A_{tau} for a
+    # linear profile (f'' = 0):
+    #   Delta(f A_1) = (2f'/r - l(l+1) f/r^2) A_1
+    #   Delta(f A_2) = (2f'/r - l(l+1) f/r^2) A_2 + 2 sqrt(l(l+1)) f/r^2 A_3
+    #   Delta(f A_3) = (2f'/r - (2 + l(l+1)) f/r^2) A_3 + 2 sqrt(l(l+1)) f/r^2 A_2
+    lap = 2.0 * df / r
     big_l = l * (l + 1)
     root = math.sqrt(big_l)
     if tau == 1:
@@ -344,23 +353,13 @@ def _laplacian_coeffs(tau: int, l: int, f, df, d2f, r: float):
     return (0.0, 2.0 * root * f / (r * r), lap - (2.0 + big_l) * f / (r * r))
 
 
-def check_vector_laplacian(
-    tau: int,
-    n: ModeIndex,
-    p: BallPoint,
-    h: float,
-    f=None,
-    df=None,
-    d2f=None,
-) -> float:
+def check_vector_laplacian(tau: int, n: ModeIndex, p: BallPoint, h: float) -> float:
     """Max-norm residual between the finite-difference vector Laplacian
     of f(r) A_{tau n} and its modal closed form, at one ball point.
 
-    ``f`` is a radial profile callable; when omitted it defaults to the
-    standard ball extension (f(r) = r for tau in {1, 2}, f = 1 for
-    tau = 3).  Missing derivatives are filled in by Richardson-refined
-    central differences.  The Cartesian Laplacian itself uses plain
-    second-order stencils, so the residual decreases like h^2.
+    f is the standard ball extension: f(r) = r for tau in {1, 2} and
+    f = 1 for tau = 3.  The Cartesian Laplacian uses plain second-order
+    stencils, so the residual decreases like h^2.
     """
     _validate_tau(tau, n)
     h = float(h)
@@ -369,24 +368,17 @@ def check_vector_laplacian(
     if h > p.r / 4.0:
         raise StepTooLarge(f"h = {h!r} exceeds r/4 = {p.r / 4.0!r}")
 
-    if f is None:
-        if tau == 3:
-            f, df, d2f = (lambda r: 1.0), (lambda r: 0.0), (lambda r: 0.0)
-        else:
-            f, df, d2f = (lambda r: r), (lambda r: 1.0), (lambda r: 0.0)
-    if df is None:
-        df = lambda r, _f=f: fd.derivative(_f, r, 1e-5, order=1, richardson=True)
-    if d2f is None:
-        d2f = lambda r, _f=f: fd.derivative(_f, r, 1e-4, order=2, richardson=True)
+    def profile(r: float) -> tuple[float, float]:
+        # (f(r), f'(r))
+        return (1.0, 0.0) if tau == 3 else (r, 1.0)
 
     def field(xyz: np.ndarray):
         r = float(np.linalg.norm(xyz))
         direction = surface_direction(xyz)
-        return (vector_A(tau, n, direction) * f(r)).to_cartesian(direction)
+        return (vector_A(tau, n, direction) * profile(r)[0]).to_cartesian(direction)
 
     numeric = fd.vector_laplacian(field, p.to_xyz(), h)
-    r = p.r
-    coeffs = _laplacian_coeffs(tau, n.l, f(r), df(r), d2f(r), r)
+    coeffs = _laplacian_coeffs(tau, n.l, *profile(p.r), p.r)
     parts = [
         vector_A(t, n, p.direction) * c
         for t, c in zip((1, 2, 3), coeffs)
@@ -445,16 +437,7 @@ def _angular_tables(
         m: [t[:, inverse] for t in assoc_legendre_tower(m, l_max, x)]
         for m in {n.m for n in modes}
     }
-    out = {}
-    for n in modes:
-        val, dth, osin = towers[n.m]
-        c = _norm_const(n.l, n.m)
-        trig, dtrig = _azimuth(n, rule.phi)
-        y = c * val[n.l] * trig
-        a = c * dth[n.l] * trig
-        b = c * osin[n.l] * dtrig if n.m >= 1 else np.zeros_like(y)
-        out[n] = (y, a, b)
-    return out
+    return {n: _angular(n, towers[n.m], rule.phi) for n in modes}
 
 
 def _basis_labels(l_max: int) -> list[tuple[int, ModeIndex]]:
@@ -475,40 +458,31 @@ def _basis_components(
     tables = _angular_tables(list(dict.fromkeys(n for _, n in labels)), rule)
     comp = np.zeros((len(labels), 3, rule.theta.shape[0]))
     for i, (tau, n) in enumerate(labels):
-        y, a, b = tables[n]
-        if tau == 3:
-            comp[i, 0] = y
-        else:
-            root = math.sqrt(n.l * (n.l + 1))
-            if tau == 2:
-                comp[i, 1] = a / root
-                comp[i, 2] = b / root
-            else:
-                comp[i, 1] = b / root
-                comp[i, 2] = -a / root
+        comp[i, 0], comp[i, 1], comp[i, 2] = _components(tau, n.l, *tables[n])
     return comp
 
 
-def gram_matrix(
-    l_max: int, rule: SurfaceRule | None = None
-) -> tuple[list[tuple[int, ModeIndex]], np.ndarray]:
+def _weighted_basis(
+    l_max: int,
+) -> tuple[SurfaceRule, list[tuple[int, ModeIndex]], np.ndarray, np.ndarray]:
+    # surface_quadrature(l_max), the basis labels up to l_max, their
+    # components over the rule's nodes, and those times the weights.
+    rule = surface_quadrature(l_max)
+    labels = _basis_labels(l_max)
+    comp = _basis_components(labels, rule)
+    return rule, labels, comp, comp * rule.weights
+
+
+def gram_matrix(l_max: int) -> tuple[list[tuple[int, ModeIndex]], np.ndarray]:
     """Gram matrix of all vector harmonics with degree <= l_max under
     the surface quadrature.  Returns (labels, matrix); orthonormality
     means the matrix is the identity."""
-    if rule is None:
-        rule = surface_quadrature(l_max)
-    labels = _basis_labels(l_max)
-    comp = _basis_components(labels, rule)
-    weighted = comp * rule.weights
-    gram = np.einsum("ick,jck->ij", weighted, comp)
-    return labels, gram
+    _, labels, comp, weighted = _weighted_basis(l_max)
+    return labels, np.einsum("ick,jck->ij", weighted, comp)
 
 
 def expand_field(
-    sampler,
-    l_max: int,
-    radial_nodes,
-    rule: SurfaceRule | None = None,
+    sampler, l_max: int, radial_nodes
 ) -> dict[tuple[int, ModeIndex], np.ndarray]:
     """Project a ball field onto the vector harmonic basis.
 
@@ -518,12 +492,8 @@ def expand_field(
     reconstruction from these coefficients is exact up to quadrature
     roundoff.
     """
-    if rule is None:
-        rule = surface_quadrature(l_max)
+    rule, labels, _, weighted = _weighted_basis(l_max)
     radial_nodes = [float(r) for r in radial_nodes]
-    labels = _basis_labels(l_max)
-    comp = _basis_components(labels, rule)
-    weighted = comp * rule.weights
     points = rule.points()
     coeffs = {label: np.zeros(len(radial_nodes)) for label in labels}
     for j, r in enumerate(radial_nodes):

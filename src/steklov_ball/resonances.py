@@ -44,7 +44,7 @@ from typing import Callable
 
 from .errors import DomainError, InvalidMode, ScanExhausted
 from .kernel import _L_MAX, _check_theta
-from .specfun import sph_bessel_j_all
+from .specfun import _j_pair
 
 __all__ = [
     "RootList",
@@ -138,10 +138,8 @@ def _scan(
 
 
 def _jl_pair(l: int, x: float) -> tuple[float, float]:
-    tab = sph_bessel_j_all(max(l, 1), complex(x))
-    jl = tab[l].real
-    jlp = (-tab[1] if l == 0 else tab[l - 1] - (l + 1) / complex(x) * tab[l]).real
-    return jl, jlp
+    jl, jlp = _j_pair(l, complex(x))
+    return jl.real, jlp.real
 
 
 def _family1(

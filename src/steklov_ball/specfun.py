@@ -4,18 +4,19 @@ All routines here are self-contained (numpy for containers only) so that
 the rest of the package does not depend on any external special-function
 implementation.  Accuracy targets are near machine precision for
 0 <= l <= 200 and |z| <= 100, for the eigenfields, root scans and checks
-(the eigenvalues use the real continued fraction in `spectrum` instead).
+(the eigenvalues use the real continued fraction in `kernel` instead).
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, LengthMismatch
+from .errors import DomainError, LengthMismatch, NotRepresentable
 from .kernel import _L_MAX
 
 __all__ = [
@@ -109,10 +110,17 @@ def _downward_all(l: int, z: complex) -> np.ndarray:
     # zero of j_0 or j_1 never poisons the scale.
     j0, j1 = _j0_j1(z)
     if l >= 1 and abs(j1) > abs(j0) and out[1] != 0:
-        scale = j1 / out[1]
+        seed, ref = j1, out[1]
     else:
-        scale = j0 / p_cur
-    return out * scale
+        seed, ref = j0, p_cur
+    # Far up the imaginary axis (from |Im z| ~ 678 at l = 0) the seed
+    # nears the top of double range while ref stays small, and the
+    # scale seed / ref would overflow.
+    if not abs(seed) / sys.float_info.max < abs(ref):
+        raise NotRepresentable(
+            f"j_0..j_{l} at z = {z!r} not representable: the Miller scale overflows"
+        )
+    return out * (seed / ref)
 
 
 def sph_bessel_j_all(l: int, z: complex) -> np.ndarray:
@@ -135,17 +143,18 @@ def sph_bessel_j_all(l: int, z: complex) -> np.ndarray:
     ------
     DomainError
         If the order is out of range or z is not finite.
-    OverflowError
-        If |Im z| is large enough that j_0(z) is not representable.
+    NotRepresentable
+        (also an OverflowError) If the tower leaves double range: for
+        every |Im z| > 700, and from |Im z| of about 678 at l = 0.
     """
     _validate_order(l)
     z = complex(z)
     if not (math.isfinite(z.real) and math.isfinite(z.imag)):
         raise DomainError(f"argument must be finite, got {z!r}")
     if abs(z.imag) > _IM_MAX:
-        raise OverflowError(
+        raise NotRepresentable(
             f"|Im z| = {abs(z.imag):.3g} exceeds {_IM_MAX:g}; "
-            "j_0(z) overflows double precision"
+            "j_l(z) not representable in double precision"
         )
     if z == 0:
         out = np.zeros(l + 1, dtype=complex)
@@ -178,15 +187,18 @@ def sph_bessel_j_deriv(l: int, z: complex) -> complex:
     return _j_and_deriv(l, z)[1]
 
 
-@functools.lru_cache(maxsize=4096)
-def _j_and_deriv(l: int, z: complex) -> tuple[complex, complex]:
-    # (j_l(z), j_l'(z)) for z != 0 from one tower.  Cached because the
-    # radial algebra evaluates a profile and all its derivatives at the
-    # same few arguments.
+def _j_pair(l: int, z: complex) -> tuple[complex, complex]:
+    # (j_l(z), j_l'(z)) for z != 0 from one tower.
     tab = sph_bessel_j_all(max(l, 1), z)
     if l == 0:
         return complex(tab[0]), complex(-tab[1])
     return complex(tab[l]), complex(tab[l - 1] - (l + 1) / z * tab[l])
+
+
+# Cached because the radial algebra evaluates a profile and all its
+# derivatives at the same few arguments.  The root scans call _j_pair
+# itself: their points seldom repeat and would only fill the cache.
+_j_and_deriv = functools.lru_cache(maxsize=4096)(_j_pair)
 
 
 # ----------------------------------------------------------------------
@@ -212,7 +224,7 @@ def _pow(s: np.ndarray, m: int) -> np.ndarray:
 
 
 # Orders above about 150 overflow inside the recurrence; the finiteness
-# check at its end raises OverflowError, so numpy's warnings stay quiet.
+# check at its end raises NotRepresentable, so numpy's warnings stay quiet.
 @np.errstate(over="ignore", invalid="ignore")
 def assoc_legendre_tower(
     m: int, l_max: int, x
@@ -244,7 +256,8 @@ def assoc_legendre_tower(
 
     Entries with degree below m are zero.  Complex input or any entry
     outside [-1, 1] (NaN included) raises DomainError; values beyond
-    double range (orders m above about 150) raise OverflowError.
+    double range (orders m above about 150) raise NotRepresentable, an
+    OverflowError.
     """
     _validate_degree_order(l_max, m)
     if np.iscomplexobj(x):
@@ -298,7 +311,7 @@ def _check_legendre_finite(values: np.ndarray, dtheta: np.ndarray) -> None:
     # Unnormalized P_l^m grows like (2m-1)!!, which leaves double range
     # for m beyond roughly 150; fail loudly instead of returning inf.
     if not (np.all(np.isfinite(values)) and np.all(np.isfinite(dtheta))):
-        raise OverflowError(
+        raise NotRepresentable(
             "associated Legendre values overflowed double precision; "
             "the unnormalized convention cannot represent this (l, m)"
         )

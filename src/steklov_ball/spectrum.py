@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -47,7 +48,7 @@ from .harmonics import (
     surface_quadrature,
     vector_A,
 )
-from .kernel import _validate_eig_args, eigen_grid, lambda1, lambda2
+from .kernel import _L_MAX, _validate_eig_args, eigen_grid, lambda1, lambda2
 from .radial import RadialFunction, RadialKind, RadialPair, bessel_operator, radial_profiles
 from .resonances import _check_query, _roots
 from .specfun import gauss_legendre, sph_bessel_j_all
@@ -74,14 +75,20 @@ __all__ = [
 ]
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def lambda1_theta1_alt(l: int, k2: float) -> float:
     """Family-1 eigenvalue at theta = 1 in product form:
     -k j_l(k) j_l'(k) / (j_{l+1}(k) j_{l-1}(k)).
 
     Agrees with lambda1(l, k2, 1) to 1e-10 relative off resonance; the
     two expressions are rearrangements of each other through the
-    three-term recurrence.
+    three-term recurrence.  The degree runs to 199, since the form
+    needs j_{l+1}.  Where a product leaves the normal double range
+    (small k at high degree, or k^2 below about -1.3e5) it raises
+    DomainError.
     """
+    if not isinstance(l, int) or isinstance(l, bool) or not 1 <= l < _L_MAX:
+        raise InvalidMode(f"degree l must be an integer in [1, {_L_MAX - 1}], got {l!r}")
     k2, _ = _validate_eig_args(l, k2)
     k = cmath.sqrt(complex(k2, 0.0))
     tab = sph_bessel_j_all(l + 1, k)
@@ -89,15 +96,17 @@ def lambda1_theta1_alt(l: int, k2: float) -> float:
     jl_p = tab[l - 1] - (l + 1) / k * tab[l]
     num = -k * jl * jl_p
     den = tab[l + 1] * tab[l - 1]
+    for part in (num, den):
+        if not sys.float_info.min <= abs(part) < math.inf:
+            raise DomainError(
+                f"j_l products leave double range at l = {l}, k2 = {k2}; "
+                "eigenvalue not representable"
+            )
     # Per-factor Newton-step guards, as in the direct form: each factor
     # is near one of its zeros iff |j_m| is small against |k j_m'|.
     up_p = tab[l] - (l + 2) / k * tab[l + 1]
     down_p = -tab[1] if l == 1 else tab[l - 2] - l / k * tab[l - 1]
-    for jm, jm_p, m in ((tab[l + 1], up_p, l + 1), (tab[l - 1], down_p, l - 1)):
-        if jm == 0.0 and jm_p == 0.0:
-            raise DomainError(
-                f"j_{m} underflows at k2 = {k2}; eigenvalue not representable"
-            )
+    for jm, jm_p in ((tab[l + 1], up_p), (tab[l - 1], down_p)):
         if abs(jm) < 1e-12 * abs(k * jm_p):
             raise DirichletResonance(
                 f"j_{l + 1}(k) j_{l - 1}(k) vanishes at k2 = {k2}"
@@ -401,30 +410,20 @@ def _weak_identity_terms(
     return t_curl, t_field, t_div, t_boundary
 
 
-def verify_weak_identity(
-    mode: SteklovMode,
-    radial_order: int | None = None,
-    surface_order: int | None = None,
-) -> float:
+def verify_weak_identity(mode: SteklovMode) -> float:
     """Relative defect of the weak-form identity
 
         int_B(|curl E|^2 - k^2 |E|^2 + theta |div E|^2)
                                     + lambda int_Gamma |E|^2 = 0
 
-    under product Gauss quadrature (radial rule with r^2 weight times a
-    surface rule), normalized by the largest of the four terms.  Raises
-    QuadratureTooCoarse when refining both orders by 4 moves the defect
-    by more than 10% of that scale.
+    under product Gauss quadrature (a radial rule of order 2l + 12 with
+    r^2 weight times the surface rule for degree 2l + 4), normalized by
+    the largest of the four terms.  Raises QuadratureTooCoarse when
+    refining both orders by 4 moves the defect by more than 10% of that
+    scale.
     """
     l = mode.n.l
-    if radial_order is None:
-        radial_order = 2 * l + 12
-    if surface_order is None:
-        surface_order = 2 * l + 4
-    if radial_order < 2 * l + 4 or surface_order < 2 * l + 4:
-        raise DomainError(
-            f"quadrature orders must be >= 2l + 4 = {2 * l + 4}"
-        )
+    radial_order, surface_order = 2 * l + 12, 2 * l + 4
     base = _weak_identity_terms(mode, radial_order, surface_order)
     refined = _weak_identity_terms(mode, radial_order + 4, surface_order + 4)
     scale = max(abs(t) for t in refined)

@@ -121,16 +121,6 @@ def test_eigen_grid_faults_have_their_own_message():
         assert (r.returncode, r.stdout, r.stderr) == (2, "", message), args
 
 
-def test_thread_environment_is_validated():
-    # The sweep is single-threaded; the variable is range-checked only.
-    args = ["sweep", "--l", "1:2", "--k2", "1:2", "--samples", "5"]
-    for value in ("abc", "0", "1000"):
-        r = run_cli(*args, env_extra={"STEKLOV_BALL_THREADS": value})
-        assert r.returncode == 2, value
-        assert "STEKLOV_BALL_THREADS" in r.stderr or "--threads" in r.stderr
-        assert "Traceback" not in r.stderr
-
-
 def test_negative_values_accepted_after_flag():
     # "--k2 -5" and "--k2 -100:100" must parse even though the token
     # starts with a dash

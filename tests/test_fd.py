@@ -82,6 +82,24 @@ def test_complex_valued_fields_pass_through():
     assert d.imag == pytest.approx(math.cos(0.2), abs=1e-11)
 
 
+def test_scalar_operators_return_scalars():
+    # One Richardson step serves every operator; the scalar ones still
+    # return a real or complex scalar, never an array.
+    real = lambda p: p[0] ** 2 * p[1] + math.sin(p[2])
+    cplx = lambda p: complex(p[0] * p[1], p[2] ** 3)
+    vec = lambda p: [p[0] * p[1], math.cos(p[2]), p[0] ** 3]
+    for rich in (False, True):
+        for value, kind in (
+            (derivative(math.sin, 0.4, 1e-3, richardson=rich), float),
+            (derivative(lambda x: 1j * x * x, 0.4, 1e-3, richardson=rich), complex),
+            (scalar_laplacian(real, P, 1e-3, richardson=rich), float),
+            (scalar_laplacian(cplx, P, 1e-3, richardson=rich), complex),
+            (divergence(vec, P, 1e-3, richardson=rich), float),
+        ):
+            assert isinstance(value, kind) and not isinstance(value, np.ndarray)
+        assert gradient(real, P, 1e-3, richardson=rich).shape == (3,)
+
+
 def test_rejects_bad_step_and_point():
     with pytest.raises(DomainError):
         derivative(math.sin, 0.0, 0.0)

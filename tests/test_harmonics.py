@@ -18,6 +18,7 @@ from steklov_ball import (
     DomainError,
     InvalidMode,
     ModeIndex,
+    NotRepresentable,
     StepTooLarge,
     SurfacePoint,
     Vec3,
@@ -125,6 +126,14 @@ def test_tangential_basis_needs_positive_degree():
         vector_A(1, ModeIndex("even", 0, 0), POINTS[0])
     with pytest.raises(InvalidMode):
         vector_A(4, ModeIndex("even", 0, 1), POINTS[0])
+
+
+def test_vector_harmonic_overflow_is_typed():
+    # P_160^160 leaves double range; this used to be a bare OverflowError.
+    p = SurfacePoint(0.7, 1.1)
+    for tau in (1, 2, 3):
+        with pytest.raises(NotRepresentable):
+            vector_A(tau, ModeIndex("even", 160, 160), p)
 
 
 def test_vec3_cartesian_round_trip():

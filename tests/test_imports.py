@@ -13,7 +13,8 @@ import steklov_ball
 
 PUBLIC_NAMES = """
 BallPoint Check DirichletResonance DomainError InvalidMode LengthMismatch ModalBoundaryData
-ModeIndex NonRealEigenvalue QuadratureRule QuadratureTooCoarse RadialFunction RadialKind
+ModeIndex NonRealEigenvalue NotRepresentable QuadratureRule QuadratureTooCoarse
+RadialFunction RadialKind
 RadialPair RootList ScalarSpectrum ScanExhausted SpectrumWitness SteklovBallError SteklovMode
 StepTooLarge SurfacePoint SurfaceRule Vec3 VerifyReport ZeroEigenvalue assoc_legendre
 ball_steklov_spectrum bessel_operator bessel_zeros check_vector_laplacian curl_radial

@@ -17,6 +17,8 @@ import pytest
 from steklov_ball import (
     DomainError,
     LengthMismatch,
+    NotRepresentable,
+    SteklovBallError,
     assoc_legendre,
     gauss_legendre,
     sph_bessel_j,
@@ -158,6 +160,21 @@ def test_legendre_tower_array_validation():
         warnings.simplefilter("error")  # overflow raises, without a RuntimeWarning first
         with pytest.raises(OverflowError):
             assoc_legendre_tower(160, 160, np.array([0.0, 0.5, 1.0]))
+
+
+def test_bessel_tower_overflow_is_typed():
+    # Far up the imaginary axis the Miller scale overflows before j_0
+    # itself does; it used to return [inf+nanj] with a RuntimeWarning.
+    assert issubclass(NotRepresentable, OverflowError)
+    assert issubclass(NotRepresentable, SteklovBallError)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for l, z in ((0, 690j), (0, 678.5j), (3, 700j), (0, 701j), (5, -720j)):
+            with pytest.raises(NotRepresentable):
+                sph_bessel_j_all(l, z)
+        near = sph_bessel_j_all(3, 678.0j)
+    assert np.all(np.isfinite(near))
+    assert near[0].real == pytest.approx(math.sinh(678.0) / 678.0, rel=1e-13)
 
 
 def test_assoc_legendre_endpoint_regular():
