@@ -19,8 +19,14 @@ import argparse
 import itertools
 import json
 import math
+import os
 import sys
 from pathlib import Path
+
+# No command does BLAS work worth a second thread, and OpenBLAS starts one
+# worker per core when numpy is imported, which costs every process CPU
+# time. Set before the first numpy import; a value the user set wins.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 import numpy as np
 

@@ -20,6 +20,7 @@ import cmath
 import math
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 
 from .errors import DirichletResonance, DomainError, InvalidMode
 from .specfun import _j_and_deriv, sph_bessel_j_all
@@ -117,7 +118,14 @@ class RadialFunction:
         return total
 
     def deriv(self) -> "RadialFunction":
-        """Exact derivative, closed under the spherical Bessel equation."""
+        """Exact derivative, closed under the spherical Bessel equation.
+
+        Built once per instance: every later call returns the same object,
+        so a chain f.deriv().deriv() costs its polynomial algebra once."""
+        return self._deriv
+
+    @cached_property
+    def _deriv(self) -> "RadialFunction":
         big_l = self.l * (self.l + 1)
         new_terms = []
         for c, alpha, beta in self.terms:
@@ -205,6 +213,17 @@ class RadialPair:
     e1: RadialFunction
     e2: RadialFunction
     e3: RadialFunction
+
+    @cached_property
+    def phi(self) -> RadialFunction:
+        """Modal divergence coefficient Phi = e3' + 2 e3 / r - sqrt(l(l+1)) e2 / r
+        (div E = Phi(r) Y_n), built once per pair."""
+        root = math.sqrt(self.l * (self.l + 1))
+        return (
+            self.e3.deriv()
+            + self.e3.times_power(2.0, -1)
+            + self.e2.times_power(-root, -1)
+        )
 
     def scaled(self, factor: complex) -> "RadialPair":
         return RadialPair(

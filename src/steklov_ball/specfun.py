@@ -113,14 +113,12 @@ def _downward_all(l: int, z: complex) -> np.ndarray:
         seed, ref = j1, out[1]
     else:
         seed, ref = j0, p_cur
+    if abs(seed) / sys.float_info.max < abs(ref):
+        return out * (seed / ref)
     # Far up the imaginary axis (from |Im z| ~ 678 at l = 0) the seed
     # nears the top of double range while ref stays small, and the
-    # scale seed / ref would overflow.
-    if not abs(seed) / sys.float_info.max < abs(ref):
-        raise NotRepresentable(
-            f"j_0..j_{l} at z = {z!r} not representable: the Miller scale overflows"
-        )
-    return out * (seed / ref)
+    # scale seed / ref would overflow: divide by ref first.
+    return (out / ref) * seed
 
 
 def sph_bessel_j_all(l: int, z: complex) -> np.ndarray:
@@ -144,8 +142,8 @@ def sph_bessel_j_all(l: int, z: complex) -> np.ndarray:
     DomainError
         If the order is out of range or z is not finite.
     NotRepresentable
-        (also an OverflowError) If the tower leaves double range: for
-        every |Im z| > 700, and from |Im z| of about 678 at l = 0.
+        (also an OverflowError) For every |Im z| > 700, where sin z and
+        cos z near the top of double range.
     """
     _validate_order(l)
     z = complex(z)
@@ -376,13 +374,20 @@ def gauss_legendre(count: int) -> QuadratureRule:
     that x and -x are exact negatives and paired weights are exactly
     equal.
 
-    The rule is deterministic: repeated calls return identical arrays.
+    Each order is built once per process: repeated calls return the same
+    rule, whose ``nodes`` and ``weights`` are read-only.
     """
     if not isinstance(count, (int, np.integer)) or isinstance(count, bool):
         raise DomainError(f"count must be an integer, got {count!r}")
     if not (1 <= count <= 4096):
         raise DomainError(f"count must be in [1, 4096], got {count}")
-    n = int(count)
+    return _gauss_legendre(int(count))
+
+
+# Behind the validation, so that every bad count still raises DomainError
+# and numpy and Python integers of one order share an entry.
+@functools.lru_cache(maxsize=64)
+def _gauss_legendre(n: int) -> QuadratureRule:
     theta = math.pi * (np.arange(n) + 0.75) / (n + 0.5)
     active = np.arange(n)
     for _ in range(100):
@@ -404,4 +409,6 @@ def gauss_legendre(count: int) -> QuadratureRule:
     weights = weights[order]
     nodes = 0.5 * (nodes - nodes[::-1])
     weights = 0.5 * (weights + weights[::-1])
+    nodes.flags.writeable = False
+    weights.flags.writeable = False
     return QuadratureRule(nodes=nodes, weights=weights)

@@ -192,16 +192,6 @@ def _scaled_sum(terms: list[complex]) -> float:
     return abs(sum(terms)) / scale
 
 
-def _phi_function(pair: RadialPair) -> RadialFunction:
-    # Modal divergence coefficient Phi = e3' + 2 e3 / r - sqrt(l(l+1)) e2 / r
-    root = math.sqrt(pair.l * (pair.l + 1))
-    return (
-        pair.e3.deriv()
-        + pair.e3.times_power(2.0, -1)
-        + pair.e2.times_power(-root, -1)
-    )
-
-
 def residual_system(pair: RadialPair, r: float) -> tuple[float, float]:
     """Scaled residuals of the coupled radial ODE system at radius r.
 
@@ -231,7 +221,7 @@ def residual_system(pair: RadialPair, r: float) -> tuple[float, float]:
         return (_scaled_sum(terms), 0.0)
 
     e2, e3 = pair.e2, pair.e3
-    phi = _phi_function(pair)
+    phi = pair.phi
     penalty = 1.0 - pair.theta
     d2, d3 = e2.deriv(), e3.deriv()
     terms2 = [
@@ -279,8 +269,7 @@ def divergence_field(mode: SteklovMode, p: BallPoint) -> float:
     """
     if mode.family == 2:
         return 0.0
-    phi = _phi_function(mode.radial)
-    value = phi(p.r)
+    value = mode.radial.phi(p.r)
     scale = max(
         abs(mode.radial.e3.deriv()(p.r)),
         abs(mode.radial.e3(p.r) / p.r),
@@ -300,7 +289,7 @@ def residual_div_helmholtz(mode: SteklovMode, p: BallPoint) -> float:
     """
     if mode.family == 2:
         return 0.0
-    phi = _phi_function(mode.radial)
+    phi = mode.radial.phi
     r = p.r
     big_l = mode.n.l * (mode.n.l + 1)
     dphi = phi.deriv()
@@ -394,7 +383,7 @@ def _weak_identity_terms(
         e2 = _real_samples(pair.e2, radii, "e2")
         de2 = _real_samples(pair.e2.deriv(), radii, "e2'")
         e3 = _real_samples(pair.e3, radii, "e3")
-        phi = _real_samples(_phi_function(pair), radii, "div")
+        phi = _real_samples(pair.phi, radii, "div")
         curl_sq = (-(de2 + e2 / radii) + root * e3 / radii) ** 2 * s1
         field_sq = e2**2 * s2 + e3**2 * s3
         # div E = Phi(r) Y_n and |A_3|^2 = Y_n^2, so reuse the s3 table.

@@ -120,13 +120,17 @@ def _suite_form_equivalence(ctx: _Context) -> list[Check]:
     tol = 1e-10 * ctx.tol_scale
     worst = 0.0
     tried = 0
-    for l in range(1, ctx.cap(10) + 1):
-        for k2 in np.linspace(-50.0, 50.0, 101):
-            if k2 == 0.0:
+    k2s = np.linspace(-50.0, 50.0, 101)
+    k2s = k2s[k2s != 0.0]
+    # One kernel grid: a cell equals lambda1 bit for bit, and ok is False
+    # exactly where lambda1 raises DirichletResonance.
+    values, ok = spectrum.eigen_grid(1, 1, ctx.cap(10), k2s, 1.0)
+    for l, (row, row_ok) in enumerate(zip(values.tolist(), ok.tolist()), start=1):
+        for k2, a, a_ok in zip(k2s.tolist(), row, row_ok):
+            if not a_ok:
                 continue
             try:
-                a = spectrum.lambda1(l, float(k2), 1.0)
-                b = spectrum.lambda1_theta1_alt(l, float(k2))
+                b = spectrum.lambda1_theta1_alt(l, k2)
             except DirichletResonance:
                 continue
             if a != 0.0:
@@ -319,8 +323,9 @@ def _suite_resonances(ctx: _Context) -> list[Check]:
 def _suite_zero_spectrum(ctx: _Context) -> list[Check]:
     worst = 0.0
     for l in range(1, ctx.cap(5) + 1):
+        zeros = resonances.neumann_zeros(l, 3).roots
         for theta in (1.0, 2.0):
-            for z in resonances.neumann_zeros(l, 3).roots:
+            for z in zeros:
                 worst = max(worst, abs(spectrum.lambda1(l, theta * z * z, theta)))
         for x in resonances.magnetic_zeros(l, 3).roots:
             worst = max(worst, abs(spectrum.lambda2(l, x * x)))

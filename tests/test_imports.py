@@ -1,11 +1,12 @@
 """The import graph: the production path (cli, kernel, resonances,
 classical, errors) loads no verification module, a sweep process loads
-only what it runs, and the package's public names resolve lazily
-without being cached."""
+only what it runs, the package's public names resolve lazily without
+being cached, and only the CLI sets a process default in os.environ."""
 
 from __future__ import annotations
 
 import json
+import os
 import subprocess
 import sys
 
@@ -84,3 +85,23 @@ def test_public_names_are_not_cached(monkeypatch):
     monkeypatch.undo()
     assert steklov_ball.bessel_zeros is original
     assert "bessel_zeros" not in vars(steklov_ball)
+
+
+def environ_change(code: str, **preset: str) -> dict:
+    """The os.environ entries that `code` adds or changes in a fresh
+    interpreter started without OPENBLAS_NUM_THREADS, plus `preset`."""
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    script = (
+        "import json, os\nbefore = dict(os.environ)\n"
+        f"{code}\n"
+        "print(json.dumps({k: v for k, v in os.environ.items() if before.get(k) != v}))"
+    )
+    r = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env={**env, **preset})
+    assert r.returncode == 0, r.stderr
+    return json.loads(r.stdout.splitlines()[-1])
+
+
+def test_cli_loads_numpy_with_one_blas_thread_unless_set():
+    assert environ_change("import steklov_ball.cli") == {"OPENBLAS_NUM_THREADS": "1"}
+    assert environ_change("import steklov_ball.cli", OPENBLAS_NUM_THREADS="3") == {}
+    assert environ_change("import steklov_ball, steklov_ball.kernel") == {}

@@ -15,6 +15,7 @@ import pytest
 from steklov_ball import (
     DomainError,
     InvalidMode,
+    RadialFunction,
     RadialKind,
     bessel_operator,
     divergence_coeffs,
@@ -134,6 +135,21 @@ def test_radial_function_calculus():
     assert g(0.5) == pytest.approx(2.5 * f(0.5), rel=1e-14)
     tp = f.times_power(3.0, -1)
     assert tp(0.5) == pytest.approx(3.0 * f(0.5) / 0.5, rel=1e-14)
+
+
+def test_derivatives_and_phi_are_built_once():
+    pair = radial_profiles(RadialKind.MATCHED, 3, -7.5, 0.5)
+    for f in (pair.e2, pair.e3):
+        assert f.deriv() is f.deriv()
+        assert f.deriv().deriv() is f.deriv().deriv()
+        fresh = RadialFunction(l=f.l, terms=f.terms)
+        assert fresh.deriv() is not f.deriv()
+        for r in RS:
+            assert fresh.deriv().deriv()(r) == f.deriv().deriv()(r)
+    assert pair.phi is pair.phi
+    for r in RS:
+        want = divergence_coeffs(pair.e2(r), pair.e3(r), pair.e3.deriv()(r), 3, r)
+        assert pair.phi(r) == pytest.approx(want, rel=1e-13, abs=1e-15)
 
 
 def test_negative_k2_profiles_are_real():

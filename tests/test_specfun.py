@@ -21,10 +21,12 @@ from steklov_ball import (
     SteklovBallError,
     assoc_legendre,
     gauss_legendre,
+    run_suites,
     sph_bessel_j,
     sph_bessel_j_all,
     sph_bessel_j_deriv,
 )
+from steklov_ball import specfun
 from steklov_ball.specfun import assoc_legendre_tower
 
 # (l, z, j_l(z), j_l'(z)) -- mpmath, 40 digits, rounded to 20
@@ -162,14 +164,34 @@ def test_legendre_tower_array_validation():
             assoc_legendre_tower(160, 160, np.array([0.0, 0.5, 1.0]))
 
 
+# j_0..j_l far up the imaginary axis, where the Miller scale seed / ref
+# would overflow and the tower divides by ref first -- mpmath, 40 digits.
+FAR_IMAGINARY_ORACLE = [
+    (0, 678.5j, [3.437368744679891998e291]),
+    (0, 690j, [3.3366713078137605957e296]),
+    (3, 700j, [7.244514676678603639e300, 7.2341653699976342052e300j,
+               -7.2135111108071852067e300, -7.1826402906347257394e300j]),
+]
+
+
+@pytest.mark.parametrize("l,z,want", FAR_IMAGINARY_ORACLE)
+def test_bessel_tower_far_up_the_imaginary_axis(l, z, want):
+    # These used to raise NotRepresentable although every value fits.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = sph_bessel_j_all(l, z)
+    for g, w in zip(got, want):
+        assert abs(g - w) <= 1e-14 * abs(w)
+
+
 def test_bessel_tower_overflow_is_typed():
-    # Far up the imaginary axis the Miller scale overflows before j_0
-    # itself does; it used to return [inf+nanj] with a RuntimeWarning.
+    # Beyond |Im z| = 700 the seeds sin z, cos z near the top of double
+    # range; the tower refuses there instead of returning inf or NaN.
     assert issubclass(NotRepresentable, OverflowError)
     assert issubclass(NotRepresentable, SteklovBallError)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        for l, z in ((0, 690j), (0, 678.5j), (3, 700j), (0, 701j), (5, -720j)):
+        for l, z in ((0, 701j), (5, -720j)):
             with pytest.raises(NotRepresentable):
                 sph_bessel_j_all(l, z)
         near = sph_bessel_j_all(3, 678.0j)
@@ -232,6 +254,35 @@ def test_quadrature_rule_length_mismatch():
         rule.integrate(np.ones(7))
     with pytest.raises(DomainError):
         type(rule)(nodes=rule.nodes, weights=rule.weights[:-1])
+
+
+def test_gauss_legendre_builds_each_order_once():
+    rule = gauss_legendre(12)
+    assert gauss_legendre(np.int64(12)) is rule
+    for array in (rule.nodes, rule.weights):
+        with pytest.raises(ValueError):
+            array[0] = 0.0
+    fresh = specfun._gauss_legendre.__wrapped__(12)
+    assert rule.nodes.tobytes() == fresh.nodes.tobytes()
+    assert rule.weights.tobytes() == fresh.weights.tobytes()
+    for bad in (True, 12.0, [12]):  # the cache sits behind the validation
+        with pytest.raises(DomainError):
+            gauss_legendre(bad)
+
+
+def test_run_suites_builds_each_quadrature_order_once(monkeypatch):
+    orders = []
+    cached = specfun._gauss_legendre
+
+    def recording(n):
+        orders.append(n)
+        return cached(n)
+
+    monkeypatch.setattr(specfun, "_gauss_legendre", recording)
+    cached.cache_clear()
+    run_suites()
+    assert len(orders) > len(set(orders))
+    assert cached.cache_info().misses == len(set(orders))
 
 
 def test_gauss_legendre_rejects_nonpositive():

@@ -168,8 +168,16 @@ def test_exact_bessel_zero_on_the_recurrence_is_removable():
 
 def test_eigen_grid_matches_scalar_bitwise():
     pole = bessel_zeros(3, 1).roots[0] ** 2  # family 2, l = 3
-    k2s = np.concatenate([np.linspace(-120.0, 120.0, 97), [-5e5, -3.3e-9, 1e-300, 7e4, 2.5e5, pole]])
-    for family, theta, l_lo, l_hi in ((1, 1.0, 1, 6), (1, 0.5, 3, 9), (1, 2.0, 1, 4), (2, 1.0, 2, 7)):
+    mixed = np.concatenate([np.linspace(-120.0, 120.0, 97), [-5e5, -3.3e-9, 1e-300, 7e4, 2.5e5, pole]])
+    suite = np.linspace(-50.0, 50.0, 101)  # the form-equivalence suite's grid
+    suite = suite[suite != 0.0]
+    for family, theta, l_lo, l_hi, k2s in (
+        (1, 1.0, 1, 10, suite),
+        (1, 1.0, 1, 6, mixed),
+        (1, 0.5, 3, 9, mixed),
+        (1, 2.0, 1, 4, mixed),
+        (2, 1.0, 2, 7, mixed),
+    ):
         values, ok = eigen_grid(family, l_lo, l_hi, k2s, theta)
         assert values.shape == ok.shape == (l_hi - l_lo + 1, k2s.size)
         for i, l in enumerate(range(l_lo, l_hi + 1)):
