@@ -34,14 +34,14 @@ _SOURCE = {
         "surface_direction surface_quadrature vector_A vector_A_ball",
         "kernel": "lambda1 lambda2",
         "radial": "RadialFunction RadialKind RadialPair bessel_operator radial_profiles",
-        "resonances": "RootList bessel_zeros exclusion_check family1_resonances "
-        "magnetic_zeros neumann_zeros",
+        "resonances": "RootList SpectrumWitness bessel_zeros exclusion_check family1_resonances "
+        "magnetic_zeros neumann_zeros zero_in_spectrum",
         "specfun": "QuadratureRule assoc_legendre gauss_legendre sph_bessel_j "
         "sph_bessel_j_all sph_bessel_j_deriv",
-        "spectrum": "ModalBoundaryData SpectrumWitness SteklovMode divergence_field eigenfield "
+        "spectrum": "ModalBoundaryData SteklovMode divergence_field eigenfield "
         "eigenfield_cartesian lambda1_theta1_alt residual_div_helmholtz residual_fourth_order "
         "residual_system solve_boundary_modal steklov_mode verify_steklov_bc "
-        "verify_weak_identity zero_in_spectrum",
+        "verify_weak_identity",
         "verify": "Check VerifyReport run_suites",
     }.items()
     for name in names.split()

@@ -154,7 +154,6 @@ _OPTIONS: dict[str, dict[str, dict]] = {
         "--suite": dict(action="append", help="suite name (repeatable; default: all)"),
         "--l-max": dict(type=_parse_int, help="cap harmonic degree in the suites (1..200)"),
         "--tol": dict(type=_parse_real, default=1.0, help="tolerance scale factor (> 0)"),
-        "--perturb-lambda": dict(type=_parse_real, default=0.0, help=argparse.SUPPRESS),
         **_COMMON,
         "--format": dict(_COMMON["--format"], default="json"),
     },
@@ -350,12 +349,7 @@ def cmd_classical(ns: argparse.Namespace) -> int:
 def cmd_verify(ns: argparse.Namespace) -> int:
     from .verify import run_suites
 
-    report = run_suites(
-        suites=ns.suite,
-        l_max=ns.l_max,
-        tol_scale=ns.tol,
-        perturb_lambda=ns.perturb_lambda,
-    )
+    report = run_suites(suites=ns.suite, l_max=ns.l_max, tol_scale=ns.tol)
     if ns.format == "csv":
         text = _csv("suite,name,passed,residual,tolerance", (
             f"{c.suite},{c.name},{str(c.passed).lower()},{_fmt(c.residual)},{_fmt(c.tolerance)}"

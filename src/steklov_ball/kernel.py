@@ -18,6 +18,7 @@ from .errors import DirichletResonance, DomainError, InvalidMode
 __all__ = ["eigen_grid", "lambda1", "lambda2"]
 
 _L_MAX = 200  # the highest degree l that any entry point of the package accepts
+_K2_MAX = 1e10  # the largest |k^2| and |k^2/theta| that any entry point accepts
 
 
 def _check_theta(theta: float) -> float:
@@ -36,8 +37,8 @@ def _validate_eig_args(l: int, k2: float, theta: float = 1.0) -> tuple[float, fl
         raise InvalidMode(f"k2 must be finite and nonzero, got {k2!r}")
     theta = _check_theta(theta)
     # The continued fraction starts above |k| and |q|, so both are bounded.
-    if max(abs(k2), abs(k2) / theta) > 1e10:
-        raise DomainError(f"|k2| and |k2/theta| must be at most 1e10, got {k2!r}, {theta!r}")
+    if max(abs(k2), abs(k2) / theta) > _K2_MAX:
+        raise DomainError(f"|k2| and |k2/theta| must be at most {_K2_MAX:g}, got {k2!r}, {theta!r}")
     return k2, theta
 
 

@@ -9,7 +9,8 @@ Four families of positive roots matter:
 
 The squared roots of the first and last sets are Dirichlet eigenvalues
 of the interior operator, where the Steklov eigenvalue formulas break
-down; the middle two certify 0 as a Steklov eigenvalue.
+down (`exclusion_check`); the middle two certify 0 as a Steklov
+eigenvalue (`zero_in_spectrum`).
 
 Everything goes through one scan-and-bisect loop, `_scan`, over a
 window (lo, hi] whose ends are proven (DLMF 10.21):
@@ -43,7 +44,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 from .errors import DomainError, InvalidMode, ScanExhausted
-from .kernel import _L_MAX, _check_theta
+from .kernel import _K2_MAX, _L_MAX, _check_theta
 from .specfun import _j_pair
 
 __all__ = [
@@ -53,6 +54,8 @@ __all__ = [
     "magnetic_zeros",
     "family1_resonances",
     "exclusion_check",
+    "SpectrumWitness",
+    "zero_in_spectrum",
 ]
 
 _STEP = math.pi / 8.0
@@ -216,8 +219,8 @@ def _check_query(k2: float, theta: float, l_max: int) -> tuple[float, float]:
     if not isinstance(l_max, int) or isinstance(l_max, bool) or not 0 <= l_max <= _L_MAX:
         raise InvalidMode(f"l_max must be an integer in [0, {_L_MAX}], got {l_max!r}")
     theta = _check_theta(theta)
-    if isinstance(k2, complex) or not abs(float(k2)) <= 1e10 * min(1.0, theta):
-        raise DomainError(f"k2 must be real with |k2| and |k2/theta| at most 1e10, got {k2!r}")
+    if isinstance(k2, complex) or not abs(float(k2)) <= _K2_MAX * min(1.0, theta):
+        raise DomainError(f"k2 must be real with |k2| and |k2/theta| at most {_K2_MAX:g}, got {k2!r}")
     return float(k2), theta
 
 
@@ -284,3 +287,43 @@ def exclusion_check(k2: float, theta: float, l_max: int) -> tuple[bool, float]:
     ]
     nearest = min(squares, key=lambda square: abs(k2 - square), default=math.inf)
     return abs(k2 - nearest) > 1e-6, nearest
+
+
+@dataclass(frozen=True)
+class SpectrumWitness:
+    """Auxiliary eigenvalue certifying that 0 is a Steklov eigenvalue:
+    kind 'neumann' means k^2 = theta * root^2 with j_l'(root) = 0,
+    kind 'magnetic' means k^2 = root^2 with j_l(root) + root j_l'(root) = 0.
+    """
+
+    kind: str
+    l: int
+    root: float
+
+
+def zero_in_spectrum(
+    k2: float, theta: float, l_max: int
+) -> tuple[bool, list[SpectrumWitness]]:
+    """Whether 0 belongs to the Steklov spectrum at these parameters.
+
+    This happens exactly when k^2 matches theta times a Neumann
+    eigenvalue of the ball Laplacian (squared zero of j_l') or a
+    magnetic-type eigenvalue (squared zero of j_l(x) + x j_l'(x)), for
+    some degree l <= l_max.  Matching tolerance: 1e-8 on k^2.  For
+    k^2 <= 0 the answer is False (both auxiliary spectra are positive).
+    """
+    k2, theta = _check_query(k2, theta, l_max)
+    witnesses: list[SpectrumWitness] = []
+    if k2 <= 0.0:
+        return False, witnesses
+    # A witness's scaled square matches k2 to 1e-8, so its root lies
+    # deep inside (target - 1, target + 1]; each degree scans only that
+    # window above its first-root bound, and nothing once the bound
+    # exceeds it.
+    for l in range(1, l_max + 1):
+        for kind, scale in (("neumann", theta), ("magnetic", 1.0)):
+            target = math.sqrt(k2 / scale)
+            for root in _roots(kind, l, target + 1.0, above=target - 1.0)[0]:
+                if abs(scale * root * root - k2) <= 1e-8:
+                    witnesses.append(SpectrumWitness(kind, l, root))
+    return bool(witnesses), witnesses

@@ -13,11 +13,11 @@ Two explicit eigenvalue families exist for every degree l >= 1:
 * family 2 polarizes along the curl-type harmonic (A_1) and is
   divergence-free.
 
-The eigenvalues come from the production kernel, `kernel.eigen_grid`,
-and lambda1/lambda2 are re-exported from it.  The product form
-lambda1_theta1_alt and the eigenfields stay on the complex Bessel towers
-as an independent check; values that must be real are asserted real and
-truncated.
+This module is verification only.  The eigenvalues of the modes come
+from the production kernel (`kernel.lambda1`/`lambda2`), and the root
+queries live in `resonances`; the product form lambda1_theta1_alt and
+the eigenfields stay on the complex Bessel towers as an independent
+check.  Values that must be real are asserted real and truncated.
 """
 
 from __future__ import annotations
@@ -48,15 +48,11 @@ from .harmonics import (
     surface_quadrature,
     vector_A,
 )
-from .kernel import _L_MAX, _validate_eig_args, eigen_grid, lambda1, lambda2
+from .kernel import _L_MAX, _validate_eig_args, lambda1, lambda2
 from .radial import RadialFunction, RadialKind, RadialPair, bessel_operator, radial_profiles
-from .resonances import _check_query, _roots
 from .specfun import gauss_legendre, sph_bessel_j_all
 
 __all__ = [
-    "eigen_grid",
-    "lambda1",
-    "lambda2",
     "lambda1_theta1_alt",
     "SteklovMode",
     "steklov_mode",
@@ -70,8 +66,6 @@ __all__ = [
     "eigenfield_cartesian",
     "ModalBoundaryData",
     "solve_boundary_modal",
-    "zero_in_spectrum",
-    "SpectrumWitness",
 ]
 
 
@@ -83,25 +77,24 @@ def lambda1_theta1_alt(l: int, k2: float) -> float:
     Agrees with lambda1(l, k2, 1) to 1e-10 relative off resonance; the
     two expressions are rearrangements of each other through the
     three-term recurrence.  The degree runs to 199, since the form
-    needs j_{l+1}.  Where a product leaves the normal double range
-    (small k at high degree, or k^2 below about -1.3e5) it raises
-    DomainError.
+    needs j_{l+1}.  It is formed as two quotients of neighbouring
+    orders, -k (j_l/j_{l+1}) (j_l'/j_{l-1}), which stay in range where
+    the products would not; where j_{l-1}, j_l or j_{l+1} itself is 0,
+    subnormal or not finite (small k at degrees near 200) it raises
+    DomainError, and beyond |Im k| = 700 the tower raises
+    NotRepresentable.
     """
     if not isinstance(l, int) or isinstance(l, bool) or not 1 <= l < _L_MAX:
         raise InvalidMode(f"degree l must be an integer in [1, {_L_MAX - 1}], got {l!r}")
     k2, _ = _validate_eig_args(l, k2)
     k = cmath.sqrt(complex(k2, 0.0))
     tab = sph_bessel_j_all(l + 1, k)
-    jl = tab[l]
+    if not all(sys.float_info.min <= abs(tab[m]) < math.inf for m in (l - 1, l, l + 1)):
+        raise DomainError(
+            f"j_{l - 1}, j_{l} or j_{l + 1} leaves the normal double range at k2 = {k2}; "
+            "eigenvalue not representable"
+        )
     jl_p = tab[l - 1] - (l + 1) / k * tab[l]
-    num = -k * jl * jl_p
-    den = tab[l + 1] * tab[l - 1]
-    for part in (num, den):
-        if not sys.float_info.min <= abs(part) < math.inf:
-            raise DomainError(
-                f"j_l products leave double range at l = {l}, k2 = {k2}; "
-                "eigenvalue not representable"
-            )
     # Per-factor Newton-step guards, as in the direct form: each factor
     # is near one of its zeros iff |j_m| is small against |k j_m'|.
     up_p = tab[l] - (l + 2) / k * tab[l + 1]
@@ -111,7 +104,7 @@ def lambda1_theta1_alt(l: int, k2: float) -> float:
             raise DirichletResonance(
                 f"j_{l + 1}(k) j_{l - 1}(k) vanishes at k2 = {k2}"
             )
-    value = num / den
+    value = -k * (tab[l] / tab[l + 1]) * (jl_p / tab[l - 1])
     if abs(value.imag) > 1e-10 * (1.0 + abs(value.real)):
         raise NonRealEigenvalue(
             f"lambda1_theta1_alt = {value!r} has a non-negligible imaginary part"
@@ -331,15 +324,21 @@ def _trace_data(mode: SteklovMode) -> tuple[float, float]:
 
 
 def verify_steklov_bc(mode: SteklovMode, p: SurfacePoint) -> float:
-    """Pointwise residual |nu x curl E - lambda E_T| at a surface point.
+    """Pointwise residual of nu x curl E = lambda E_T at a surface point.
 
-    Both sides live on a single tangential harmonic, so the residual is
-    the modal mismatch times that harmonic's magnitude at p.
+    Both sides live on a single tangential harmonic, c A_tau and
+    lambda t A_tau, so the residual is the modal mismatch relative to
+    the larger side, |c - lambda t| / max(|c|, |lambda t|), times that
+    harmonic's magnitude at p; it is 0 when both sides vanish.  Being
+    relative, it does not grow with the scale of the unnormalized
+    eigenfield.
     """
     trace, curl_coef = _trace_data(mode)
     tau = 1 if mode.family == 2 else 2
     magnitude = vector_A(tau, mode.n, p).norm()
-    return abs(curl_coef - mode.eigenvalue * trace) * magnitude
+    lam_trace = mode.eigenvalue * trace
+    scale = max(abs(curl_coef), abs(lam_trace))
+    return abs(curl_coef - lam_trace) / scale * magnitude if scale else 0.0
 
 
 def _real_samples(f: RadialFunction, radii: np.ndarray, what: str) -> np.ndarray:
@@ -541,48 +540,3 @@ def solve_boundary_modal(
         )
         solution.append((c / mode.eigenvalue, normalized))
     return solution
-
-
-# ----------------------------------------------------------------------
-# Zero-in-spectrum criterion
-# ----------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class SpectrumWitness:
-    """Auxiliary eigenvalue certifying that 0 is a Steklov eigenvalue:
-    kind 'neumann' means k^2 = theta * root^2 with j_l'(root) = 0,
-    kind 'magnetic' means k^2 = root^2 with j_l(root) + root j_l'(root) = 0.
-    """
-
-    kind: str
-    l: int
-    root: float
-
-
-def zero_in_spectrum(
-    k2: float, theta: float, l_max: int
-) -> tuple[bool, list[SpectrumWitness]]:
-    """Whether 0 belongs to the Steklov spectrum at these parameters.
-
-    This happens exactly when k^2 matches theta times a Neumann
-    eigenvalue of the ball Laplacian (squared zero of j_l') or a
-    magnetic-type eigenvalue (squared zero of j_l(x) + x j_l'(x)), for
-    some degree l <= l_max.  Matching tolerance: 1e-8 on k^2.  For
-    k^2 <= 0 the answer is False (both auxiliary spectra are positive).
-    """
-    k2, theta = _check_query(k2, theta, l_max)
-    witnesses: list[SpectrumWitness] = []
-    if k2 <= 0.0:
-        return False, witnesses
-    # A witness's scaled square matches k2 to 1e-8, so its root lies
-    # deep inside (target - 1, target + 1]; each degree scans only that
-    # window above its first-root bound, and nothing once the bound
-    # exceeds it.
-    for l in range(1, l_max + 1):
-        for kind, scale in (("neumann", theta), ("magnetic", 1.0)):
-            target = math.sqrt(k2 / scale)
-            for root in _roots(kind, l, target + 1.0, above=target - 1.0)[0]:
-                if abs(scale * root * root - k2) <= 1e-8:
-                    witnesses.append(SpectrumWitness(kind, l, root))
-    return bool(witnesses), witnesses

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import classical, fd, harmonics, resonances, spectrum
+from . import classical, fd, harmonics, kernel, resonances, spectrum
 from .errors import DirichletResonance, DomainError, InvalidMode
 from .harmonics import BallPoint, ModeIndex, SurfacePoint
 from .radial import RadialKind, radial_profiles
@@ -60,7 +60,6 @@ class VerifyReport:
 class _Context:
     l_max: int | None
     tol_scale: float
-    perturb_lambda: float
 
     def cap(self, l: int) -> int:
         return l if self.l_max is None else min(l, self.l_max)
@@ -106,9 +105,9 @@ def _suite_spot_values(ctx: _Context) -> list[Check]:
     tol = 1e-10 * ctx.tol_scale
     j1 = math.sin(1.0) - math.cos(1.0)
     expected = -math.cos(1.0) / j1
-    got = spectrum.lambda2(1, 1.0)
+    got = kernel.lambda2(1, 1.0)
     checks = [_check("spot-values", "lambda2(1,1) closed form", abs(got - expected), tol)]
-    a = spectrum.lambda1(1, 1.0, 1.0)
+    a = kernel.lambda1(1, 1.0, 1.0)
     b = spectrum.lambda1_theta1_alt(1, 1.0)
     checks.append(
         _check("spot-values", "lambda1(1,1,1) vs product form", abs(a - b) / abs(a), tol)
@@ -124,7 +123,7 @@ def _suite_form_equivalence(ctx: _Context) -> list[Check]:
     k2s = k2s[k2s != 0.0]
     # One kernel grid: a cell equals lambda1 bit for bit, and ok is False
     # exactly where lambda1 raises DirichletResonance.
-    values, ok = spectrum.eigen_grid(1, 1, ctx.cap(10), k2s, 1.0)
+    values, ok = kernel.eigen_grid(1, 1, ctx.cap(10), k2s, 1.0)
     for l, (row, row_ok) in enumerate(zip(values.tolist(), ok.tolist()), start=1):
         for k2, a, a_ok in zip(k2s.tolist(), row, row_ok):
             if not a_ok:
@@ -143,8 +142,8 @@ def _suite_form_equivalence(ctx: _Context) -> list[Check]:
 def _suite_asymptotics(ctx: _Context) -> list[Check]:
     checks = []
     for which, func in (
-        ("lambda1", lambda l: spectrum.lambda1(l, 1.0, 1.0)),
-        ("lambda2", lambda l: spectrum.lambda2(l, 1.0)),
+        ("lambda1", lambda l: kernel.lambda1(l, 1.0, 1.0)),
+        ("lambda2", lambda l: kernel.lambda2(l, 1.0)),
     ):
         ratios = [func(l) / (-l) for l in range(30, 51)]
         inside = all(0.85 < r < 1.15 for r in ratios)
@@ -176,10 +175,6 @@ def _suite_eigen_residuals(ctx: _Context) -> list[Check]:
         if ctx.l_max is not None and n.l > ctx.l_max:
             continue
         mode = spectrum.steklov_mode(family, n, k2, theta)
-        if ctx.perturb_lambda != 0.0:
-            mode = dataclasses.replace(
-                mode, eigenvalue=mode.eigenvalue + ctx.perturb_lambda
-            )
         n_modes += 1
         for p in _SURFACE_POINTS:
             worst_bc = max(worst_bc, spectrum.verify_steklov_bc(mode, p))
@@ -301,13 +296,13 @@ def _suite_resonances(ctx: _Context) -> list[Check]:
             scale = max(abs(a * solenoidal.e2(1.0)), abs(compressive.e2(1.0)))
             worst_boundary = max(worst_boundary, value / scale)
             # pole behavior on both sides
-            lo = spectrum.lambda1(l, (root - 1e-4) ** 2, 1.0)
-            hi = spectrum.lambda1(l, (root + 1e-4) ** 2, 1.0)
+            lo = kernel.lambda1(l, (root - 1e-4) ** 2, 1.0)
+            hi = kernel.lambda1(l, (root + 1e-4) ** 2, 1.0)
             if not (lo * hi < 0.0 or min(abs(lo), abs(hi)) > 1e4):
                 worst_pole_gap = max(worst_pole_gap, 1.0)
         for root in resonances.bessel_zeros(l, 3).roots:
             try:
-                spectrum.lambda2(l, root * root)
+                kernel.lambda2(l, root * root)
             except DirichletResonance:
                 continue
             worst_pole_gap = max(worst_pole_gap, 1.0)
@@ -326,14 +321,14 @@ def _suite_zero_spectrum(ctx: _Context) -> list[Check]:
         zeros = resonances.neumann_zeros(l, 3).roots
         for theta in (1.0, 2.0):
             for z in zeros:
-                worst = max(worst, abs(spectrum.lambda1(l, theta * z * z, theta)))
+                worst = max(worst, abs(kernel.lambda1(l, theta * z * z, theta)))
         for x in resonances.magnetic_zeros(l, 3).roots:
-            worst = max(worst, abs(spectrum.lambda2(l, x * x)))
+            worst = max(worst, abs(kernel.lambda2(l, x * x)))
     checks = [_check("zero-spectrum", "lambda vanishes at auxiliary zeros", worst, 1e-9 * ctx.tol_scale)]
-    ok, witnesses = spectrum.zero_in_spectrum(
+    ok, witnesses = resonances.zero_in_spectrum(
         resonances.neumann_zeros(1, 1).roots[0] ** 2 * 2.0, 2.0, 3
     )
-    generic, _ = spectrum.zero_in_spectrum(1.0, 1.0, ctx.cap(20))
+    generic, _ = resonances.zero_in_spectrum(1.0, 1.0, ctx.cap(20))
     agreed = ok and any(w.kind == "neumann" and w.l == 1 for w in witnesses) and not generic
     checks.append(Check("zero-spectrum", "witness bookkeeping", bool(agreed), 0.0 if agreed else 1.0, 0.5))
     return checks
@@ -397,7 +392,6 @@ def run_suites(
     suites: list[str] | None = None,
     l_max: int | None = None,
     tol_scale: float = 1.0,
-    perturb_lambda: float = 0.0,
 ) -> VerifyReport:
     """Run the named suites (all by default) and collect their checks.
 
@@ -414,7 +408,7 @@ def run_suites(
         raise InvalidMode(f"l_max must be an integer in [1, {_L_MAX}], got {l_max!r}")
     if isinstance(tol_scale, complex) or not 0.0 < float(tol_scale) < math.inf:
         raise DomainError(f"tol_scale must be positive and finite, got {tol_scale!r}")
-    ctx = _Context(l_max=l_max, tol_scale=float(tol_scale), perturb_lambda=perturb_lambda)
+    ctx = _Context(l_max=l_max, tol_scale=float(tol_scale))
     checks: list[Check] = []
     for name in names:
         checks.extend(SUITES[name](ctx))

@@ -383,8 +383,9 @@ def test_verify_argument_errors_are_typed():
             steklov_ball.run_suites(tol_scale=tol)
 
 
-def test_verify_perturbation_hook_fails():
-    r = run_cli("verify", "--suite", "eigen-residuals", "--perturb-lambda", "1e-3")
+def test_verify_tight_tolerance_fails():
+    # Residuals near 1e-14 cannot meet tolerances scaled down to 1e-15.
+    r = run_cli("verify", "--suite", "eigen-residuals", "--tol", "1e-6")
     assert r.returncode == 1
     payload = json.loads(r.stdout)
     assert payload["passed"] is False

@@ -1,5 +1,6 @@
 """The import graph: the production path (cli, kernel, resonances,
-classical, errors) loads no verification module, a sweep process loads
+classical, errors) loads no verification module, neither on import nor
+when the root queries run, a sweep process loads
 only what it runs, the package's public names resolve lazily without
 being cached, and only the CLI sets a process default in os.environ."""
 
@@ -47,6 +48,17 @@ def test_production_modules_import_no_verification_module():
     loaded = loaded_modules(
         "import steklov_ball.cli, steklov_ball.kernel, steklov_ball.resonances, "
         "steklov_ball.classical, steklov_ball.errors"
+    )
+    assert not loaded & VERIFICATION, sorted(loaded & VERIFICATION)
+
+
+def test_root_queries_load_no_verification_module():
+    loaded = loaded_modules(
+        "import steklov_ball as sb\n"
+        "sb.bessel_zeros(2, 3), sb.neumann_zeros(2, 3), sb.magnetic_zeros(2, 3)\n"
+        "sb.family1_resonances(2, 0.5, 3)\n"
+        "assert sb.exclusion_check(30.0, 0.5, 4)[0]\n"
+        "assert sb.zero_in_spectrum(sb.neumann_zeros(1, 1).roots[0] ** 2, 1.0, 3)[0]"
     )
     assert not loaded & VERIFICATION, sorted(loaded & VERIFICATION)
 

@@ -47,7 +47,8 @@ from steklov_ball import (
 )
 from steklov_ball import fd, kernel
 from steklov_ball.harmonics import surface_quadrature, vector_A
-from steklov_ball.spectrum import _surface_sums, eigen_grid
+from steklov_ball.kernel import eigen_grid
+from steklov_ball.spectrum import _surface_sums
 from steklov_ball.verify import _WEAK_MODES
 
 # (l, k2, lambda2) -- mpmath, 40 digits
@@ -227,13 +228,18 @@ def test_lambda2_dirichlet_resonance():
 
 
 def test_lambda1_theta1_alt_products_out_of_range_raise():
-    # j_l j_l' and j_{l+1} j_{l-1} overflow from k^2 ~ -1.3e5 (and the
-    # tower itself from ~ -4.6e5); at high degree and small k they
-    # underflow.  Both used to come out as NaN or +-inf.
-    for l, k2 in ((1, -1.3e5), (1, -2e5), (1, -4.9e5), (3, -4.95e5), (79, 0.3), (105, -7.0)):
+    # The products j_l j_l' and j_{l+1} j_{l-1} would underflow at high
+    # degree and small k, and overflow from k^2 ~ -1.3e5; the quotients
+    # of neighbouring orders stay in range, up to the tower's own limit.
+    for l, k2 in (
+        (79, 0.3), (105, -7.0), (105, 0.3), (105, 5.0), (150, -1.3e5), (196, -2e5),
+        (20, -4e5), (1, -1.2e5), (1, -1.3e5), (1, -2e5), (1, -4.9e5),
+    ):
+        assert lambda1_theta1_alt(l, k2) == pytest.approx(lambda1(l, k2), rel=1e-14), (l, k2)
+    # A tower entry that underflows to 0 or to a subnormal, or |Im k| > 700.
+    for l, k2 in ((199, 1e-6), (199, 14.0), (150, 1.0), (3, -4.95e5), (1, -5e5)):
         with pytest.raises(DomainError, match="not representable"):
             lambda1_theta1_alt(l, k2)
-    assert lambda1_theta1_alt(1, -1.2e5) == pytest.approx(lambda1(1, -1.2e5), rel=1e-10)
 
 
 def test_lambda1_theta1_alt_degree_bound():
