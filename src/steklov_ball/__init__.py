@@ -24,24 +24,20 @@ _SUBMODULES = (
 _SOURCE = {
     name: module
     for module, names in {
-        "classical": "ScalarSpectrum ball_steklov_spectrum h_half_norm "
-        "harmonic_polynomial_dimension laplace_beltrami_eig multiplicity weyl_exponent_fit",
-        "errors": "DirichletResonance DomainError InvalidMode LengthMismatch NonRealEigenvalue "
-        "NotRepresentable QuadratureTooCoarse ScanExhausted SteklovBallError StepTooLarge "
-        "ZeroEigenvalue",
+        "classical": "ScalarSpectrum ball_steklov_spectrum harmonic_polynomial_dimension "
+        "multiplicity weyl_exponent_fit",
+        "errors": "DirichletResonance DomainError InvalidMode NonRealEigenvalue NotRepresentable "
+        "QuadratureTooCoarse ScanExhausted SteklovBallError StepTooLarge",
         "harmonics": "BallPoint ModeIndex SurfacePoint SurfaceRule Vec3 check_vector_laplacian "
-        "curl_radial divergence_coeffs enumerate_modes expand_field gram_matrix scalar_Y "
-        "surface_direction surface_quadrature vector_A vector_A_ball",
+        "enumerate_modes gram_matrix scalar_Y surface_direction surface_quadrature vector_A",
         "kernel": "lambda1 lambda2",
         "radial": "RadialFunction RadialKind RadialPair bessel_operator radial_profiles",
         "resonances": "RootList SpectrumWitness bessel_zeros exclusion_check family1_resonances "
         "magnetic_zeros neumann_zeros zero_in_spectrum",
-        "specfun": "QuadratureRule assoc_legendre gauss_legendre sph_bessel_j "
-        "sph_bessel_j_all sph_bessel_j_deriv",
-        "spectrum": "ModalBoundaryData SteklovMode divergence_field eigenfield "
-        "eigenfield_cartesian lambda1_theta1_alt residual_div_helmholtz residual_fourth_order "
-        "residual_system solve_boundary_modal steklov_mode verify_steklov_bc "
-        "verify_weak_identity",
+        "specfun": "QuadratureRule gauss_legendre sph_bessel_j sph_bessel_j_all sph_bessel_j_deriv",
+        "spectrum": "SteklovMode divergence_field eigenfield eigenfield_cartesian "
+        "lambda1_theta1_alt residual_fourth_order residual_system steklov_mode "
+        "verify_steklov_bc verify_weak_identity",
         "verify": "Check VerifyReport run_suites",
     }.items()
     for name in names.split()

@@ -4,8 +4,8 @@ The harmonic extension of a degree-j spherical harmonic is homogeneous
 of degree j, so the full spectrum of the Dirichlet-to-Neumann map on
 the ball of radius R is j/R, j = 0, 1, 2, ..., each with the dimension
 of the degree-j harmonic space as multiplicity.  That makes every
-derived quantity (counting function, Weyl exponent, weighted trace
-norms) exactly computable.
+derived quantity (multiplicities, counting function, Weyl exponent)
+exactly computable.
 """
 
 from __future__ import annotations
@@ -15,16 +15,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, InvalidMode, LengthMismatch
+from .errors import DomainError, InvalidMode
 
 __all__ = [
     "ScalarSpectrum",
     "ball_steklov_spectrum",
     "multiplicity",
     "harmonic_polynomial_dimension",
-    "laplace_beltrami_eig",
     "weyl_exponent_fit",
-    "h_half_norm",
 ]
 
 _MAX_FLATTENED = 10**6
@@ -121,16 +119,6 @@ def ball_steklov_spectrum(n: int, radius: float = 1.0, count: int = 100) -> Scal
     return ScalarSpectrum(dim=n, radius=radius, entries=tuple(entries))
 
 
-def laplace_beltrami_eig(n: int, radius: float, l: int) -> float:
-    """Laplace-Beltrami eigenvalue l(l + n - 2)/R^2 on the radius-R
-    sphere bounding the n-ball.  For n = 2 these are exactly the squares
-    of the Steklov eigenvalues l/R."""
-    radius = _validate_dim_radius(n, radius)
-    if not isinstance(l, int) or isinstance(l, bool) or l < 0:
-        raise InvalidMode(f"degree l must be an integer >= 0, got {l!r}")
-    return l * (l + n - 2) / (radius * radius)
-
-
 def weyl_exponent_fit(n: int, count: int) -> float:
     """Least-squares slope of log(eigenvalue) against log(rank) over the
     upper half of the unit-ball spectrum; the counting asymptotics make
@@ -144,15 +132,3 @@ def weyl_exponent_fit(n: int, count: int) -> float:
     y = np.log(np.asarray(values[half:], dtype=float))
     slope, _ = np.polyfit(x, y, 1)
     return float(slope)
-
-
-def h_half_norm(coefficients, eigenvalues) -> float:
-    """Weighted trace norm (sum (lambda_j + 1) |c_j|^2)^(1/2) of a modal
-    coefficient sequence against a flattened spectrum."""
-    c = np.asarray(coefficients, dtype=float)
-    lam = np.asarray(eigenvalues, dtype=float)
-    if c.shape != lam.shape or c.ndim != 1:
-        raise LengthMismatch(
-            f"coefficients and eigenvalues must be equal-length 1-d, got {c.shape} and {lam.shape}"
-        )
-    return float(math.sqrt(float(np.sum((lam + 1.0) * c * c))))

@@ -27,10 +27,6 @@ class StepTooLarge(SteklovBallError, ValueError):
     """A finite-difference stencil would leave the region of validity."""
 
 
-class LengthMismatch(SteklovBallError, ValueError):
-    """Paired arrays or coefficient lists have inconsistent lengths."""
-
-
 class DirichletResonance(SteklovBallError, ArithmeticError):
     """The eigenvalue formula is evaluated at (or too close to) a pole.
 
@@ -46,11 +42,6 @@ class NonRealEigenvalue(SteklovBallError, ArithmeticError):
     This never happens for valid inputs; it indicates a loss of the
     phase normalization and is raised rather than silently truncated.
     """
-
-
-class ZeroEigenvalue(SteklovBallError, ArithmeticError):
-    """A boundary datum was requested for a mode whose eigenvalue
-    vanishes, so the datum cannot be inverted through the spectrum."""
 
 
 class QuadratureTooCoarse(SteklovBallError, RuntimeError):

@@ -29,6 +29,7 @@ import numpy as np
 
 from . import fd
 from .errors import DomainError, InvalidMode, StepTooLarge
+from .kernel import _L_MAX
 from .specfun import assoc_legendre_tower, gauss_legendre
 
 __all__ = [
@@ -39,14 +40,10 @@ __all__ = [
     "enumerate_modes",
     "scalar_Y",
     "vector_A",
-    "vector_A_ball",
     "check_vector_laplacian",
-    "divergence_coeffs",
-    "curl_radial",
     "SurfaceRule",
     "surface_quadrature",
     "gram_matrix",
-    "expand_field",
     "surface_direction",
 ]
 
@@ -210,9 +207,9 @@ class Vec3:
     __rmul__ = __mul__
 
 
-def _check_l_max(l_max: int) -> None:
-    if not isinstance(l_max, (int, np.integer)) or isinstance(l_max, bool) or l_max < 0:
-        raise InvalidMode(f"l_max must be an integer >= 0, got {l_max!r}")
+def _check_l_max(l_max: int, top: int = _L_MAX) -> None:
+    if not isinstance(l_max, (int, np.integer)) or isinstance(l_max, bool) or not 0 <= l_max <= top:
+        raise InvalidMode(f"l_max must be an integer in [0, {top}], got {l_max!r}")
 
 
 def enumerate_modes(l_max: int) -> list[ModeIndex]:
@@ -253,20 +250,21 @@ def scalar_Y(n: ModeIndex, p: SurfacePoint) -> float:
     return _angular_derivatives(n, p)[0]
 
 
-def _angular(n: ModeIndex, tower, phi):
-    # (Y, dY/dtheta, (1/sin theta) dY/dphi) from the order-m Legendre
-    # tower at one point or over a table, with phi the matching
-    # azimuth(s).  The last stays finite at the poles because
+def _angular(n: ModeIndex, rows, phi):
+    # (Y, dY/dtheta, (1/sin theta) dY/dphi) from the degree-l rows of the
+    # order-m Legendre tower at one point or over a table, with phi the
+    # matching azimuth(s).  The last stays finite at the poles because
     # P_l^m / sin(theta) is regular for m >= 1; for m = 0 the tower's
     # quotient row and the azimuthal derivative are both exactly zero.
-    values, dtheta, over_sin = tower
+    values, dtheta, over_sin = rows
     c = _norm_const(n.l, n.m)
     trig, dtrig = _azimuth(n, phi)
-    return c * values[n.l] * trig, c * dtheta[n.l] * trig, c * over_sin[n.l] * dtrig
+    return c * values * trig, c * dtheta * trig, c * over_sin * dtrig
 
 
 def _angular_derivatives(n: ModeIndex, p: SurfacePoint) -> tuple[float, float, float]:
-    return _angular(n, assoc_legendre_tower(n.m, n.l, math.cos(p.theta)), p.phi)
+    tower = assoc_legendre_tower(n.m, n.l, math.cos(p.theta))
+    return _angular(n, [t[n.l] for t in tower], p.phi)
 
 
 def _validate_tau(tau: int, n: ModeIndex) -> None:
@@ -291,50 +289,6 @@ def vector_A(tau: int, n: ModeIndex, p: SurfacePoint) -> Vec3:
     """Vector spherical harmonic A_{tau n} at a surface point."""
     _validate_tau(tau, n)
     return Vec3(*_components(tau, n.l, *_angular_derivatives(n, p)))
-
-
-def vector_A_ball(tau: int, n: ModeIndex, p: BallPoint) -> Vec3:
-    """Extension of A_{tau n} into the punctured ball.
-
-    The tangential harmonics A_1, A_2 scale linearly with |x| = r; the
-    radial harmonic A_3 is independent of r.
-    """
-    surface = vector_A(tau, n, p.direction)
-    if tau == 3:
-        return surface
-    return surface * p.r
-
-
-def divergence_coeffs(E2, E3, dE3_dr, l: int, r: float):
-    """Modal divergence coefficient Phi(r) of E2 A_2 + E3 A_3.
-
-    div(E2(r) A_2 + E3(r) A_3) = Phi(r) Y with
-    Phi = dE3/dr + (2/r) E3 - (sqrt(l(l+1))/r) E2.
-    """
-    if not (r > 0.0):
-        raise DomainError(f"r must be positive, got {r!r}")
-    return dE3_dr + 2.0 * E3 / r - math.sqrt(l * (l + 1)) * E2 / r
-
-
-def curl_radial(tau: int, n: ModeIndex, f, rf_prime_over_r, r: float):
-    """Modal coefficients of curl(f(r) A_{tau n}) on (A_1, A_2, A_3).
-
-    Inputs are the radial profile value f(r) and the combination
-    (1/r) d(r f)/dr at the same radius.  The three curls are
-
-        curl(f A_1) = (1/r)(r f)' A_2 + sqrt(l(l+1)) (f/r) A_3,
-        curl(f A_2) = -(1/r)(r f)' A_1,
-        curl(f A_3) = sqrt(l(l+1)) (f/r) A_1.
-    """
-    _validate_tau(tau, n)
-    if not (r > 0.0):
-        raise DomainError(f"r must be positive, got {r!r}")
-    root = math.sqrt(n.l * (n.l + 1))
-    if tau == 1:
-        return (0.0, rf_prime_over_r, root * f / r)
-    if tau == 2:
-        return (-rf_prime_over_r, 0.0, 0.0)
-    return (root * f / r, 0.0, 0.0)
 
 
 def _laplacian_coeffs(tau: int, l: int, f, df, r: float):
@@ -391,7 +345,7 @@ def check_vector_laplacian(tau: int, n: ModeIndex, p: BallPoint, h: float) -> fl
 
 
 # ----------------------------------------------------------------------
-# Surface quadrature and projections
+# Surface quadrature and the Gram matrix
 # ----------------------------------------------------------------------
 
 
@@ -404,16 +358,12 @@ class SurfaceRule:
     phi: np.ndarray
     weights: np.ndarray
 
-    def points(self) -> list[SurfacePoint]:
-        return [
-            SurfacePoint(t, p) for t, p in zip(self.theta.tolist(), self.phi.tolist())
-        ]
-
 
 def surface_quadrature(l_max: int) -> SurfaceRule:
     """Surface rule integrating products of harmonics up to degree l_max
-    each (polynomial degree 2 l_max + 1 in cos theta) exactly."""
-    _check_l_max(l_max)
+    each (polynomial degree 2 l_max + 1 in cos theta) exactly.  l_max
+    runs to 2 * 200 + 8, the finest rule the weak identity builds."""
+    _check_l_max(l_max, 2 * _L_MAX + 8)
     n_theta = l_max + 4
     n_phi = max(4, 2 * l_max + 2)
     gauss = gauss_legendre(n_theta)
@@ -430,14 +380,12 @@ def _angular_tables(
 ) -> dict[ModeIndex, tuple[np.ndarray, np.ndarray, np.ndarray]]:
     # Per-mode arrays (Y, dY/dtheta, (1/sin) dY/dphi) over rule nodes.
     # The rule is a product rule, so each order's tower is built once
-    # over the distinct theta nodes and shared by all degrees.
+    # over the distinct theta nodes and shared by all degrees; only the
+    # degrees asked for are spread over all nodes.
     l_max = max(n.l for n in modes)
     x, inverse = np.unique(np.cos(rule.theta), return_inverse=True)
-    towers = {
-        m: [t[:, inverse] for t in assoc_legendre_tower(m, l_max, x)]
-        for m in {n.m for n in modes}
-    }
-    return {n: _angular(n, towers[n.m], rule.phi) for n in modes}
+    towers = {m: assoc_legendre_tower(m, l_max, x) for m in {n.m for n in modes}}
+    return {n: _angular(n, [t[n.l][inverse] for t in towers[n.m]], rule.phi) for n in modes}
 
 
 def _basis_labels(l_max: int) -> list[tuple[int, ModeIndex]]:
@@ -462,48 +410,11 @@ def _basis_components(
     return comp
 
 
-def _weighted_basis(
-    l_max: int,
-) -> tuple[SurfaceRule, list[tuple[int, ModeIndex]], np.ndarray, np.ndarray]:
-    # surface_quadrature(l_max), the basis labels up to l_max, their
-    # components over the rule's nodes, and those times the weights.
-    rule = surface_quadrature(l_max)
-    labels = _basis_labels(l_max)
-    comp = _basis_components(labels, rule)
-    return rule, labels, comp, comp * rule.weights
-
-
 def gram_matrix(l_max: int) -> tuple[list[tuple[int, ModeIndex]], np.ndarray]:
     """Gram matrix of all vector harmonics with degree <= l_max under
     the surface quadrature.  Returns (labels, matrix); orthonormality
     means the matrix is the identity."""
-    _, labels, comp, weighted = _weighted_basis(l_max)
-    return labels, np.einsum("ick,jck->ij", weighted, comp)
-
-
-def expand_field(
-    sampler, l_max: int, radial_nodes
-) -> dict[tuple[int, ModeIndex], np.ndarray]:
-    """Project a ball field onto the vector harmonic basis.
-
-    ``sampler`` maps a BallPoint to a Vec3 (local-frame components).
-    Returns, for every basis label (tau, mode), the array of projection
-    coefficients over ``radial_nodes``.  For band-limited fields the
-    reconstruction from these coefficients is exact up to quadrature
-    roundoff.
-    """
-    rule, labels, _, weighted = _weighted_basis(l_max)
-    radial_nodes = [float(r) for r in radial_nodes]
-    points = rule.points()
-    coeffs = {label: np.zeros(len(radial_nodes)) for label in labels}
-    for j, r in enumerate(radial_nodes):
-        samples = np.empty((3, len(points)))
-        for k, direction in enumerate(points):
-            vec = sampler(BallPoint(r=r, direction=direction))
-            samples[0, k] = vec.er
-            samples[1, k] = vec.etheta
-            samples[2, k] = vec.ephi
-        projections = np.einsum("ick,ck->i", weighted, samples)
-        for i, label in enumerate(labels):
-            coeffs[label][j] = projections[i]
-    return coeffs
+    labels = _basis_labels(l_max)  # refuses l_max > 200 before the rule is built
+    rule = surface_quadrature(l_max)
+    comp = _basis_components(labels, rule)
+    return labels, np.einsum("ick,jck->ij", comp * rule.weights, comp)

@@ -16,14 +16,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, LengthMismatch, NotRepresentable
+from .errors import DomainError, NotRepresentable
 from .kernel import _L_MAX
 
 __all__ = [
     "sph_bessel_j_all",
     "sph_bessel_j",
     "sph_bessel_j_deriv",
-    "assoc_legendre",
     "assoc_legendre_tower",
     "gauss_legendre",
     "QuadratureRule",
@@ -315,17 +314,6 @@ def _check_legendre_finite(values: np.ndarray, dtheta: np.ndarray) -> None:
         )
 
 
-def assoc_legendre(l: int, m: int, x: float) -> tuple[float, float]:
-    """Associated Legendre function P_l^m(x) and its theta-derivative.
-
-    Returns the pair (P_l^m(x), d/dtheta P_l^m(cos theta)) evaluated at
-    x = cos(theta).  No Condon-Shortley phase.
-    """
-    _validate_degree_order(l, m)
-    values, dtheta, _ = assoc_legendre_tower(m, l, x)
-    return float(values[l]), float(dtheta[l])
-
-
 # ----------------------------------------------------------------------
 # Gauss-Legendre quadrature
 # ----------------------------------------------------------------------
@@ -341,19 +329,6 @@ class QuadratureRule:
     def __post_init__(self) -> None:
         if self.nodes.shape != self.weights.shape or self.nodes.ndim != 1:
             raise DomainError("nodes and weights must be 1-d and equal length")
-
-    def integrate(self, values: np.ndarray) -> float | complex:
-        """Apply the rule to function values sampled at the nodes."""
-        values = np.asarray(values)
-        if values.shape != self.nodes.shape:
-            raise LengthMismatch(
-                f"expected {self.nodes.shape[0]} samples, got {values.shape}"
-            )
-        if np.iscomplexobj(values):
-            re = math.fsum((self.weights * values.real).tolist())
-            im = math.fsum((self.weights * values.imag).tolist())
-            return complex(re, im)
-        return float(math.fsum((self.weights * values).tolist()))
 
 
 def _legendre_pair(n: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

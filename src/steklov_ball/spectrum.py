@@ -34,8 +34,8 @@ from .errors import (
     DomainError,
     InvalidMode,
     NonRealEigenvalue,
+    NotRepresentable,
     QuadratureTooCoarse,
-    ZeroEigenvalue,
 )
 from .harmonics import (
     BallPoint,
@@ -59,13 +59,10 @@ __all__ = [
     "residual_system",
     "residual_fourth_order",
     "divergence_field",
-    "residual_div_helmholtz",
     "verify_steklov_bc",
     "verify_weak_identity",
     "eigenfield",
     "eigenfield_cartesian",
-    "ModalBoundaryData",
-    "solve_boundary_modal",
 ]
 
 
@@ -178,11 +175,20 @@ def _field_real(value: complex, scale: float, what: str) -> float:
 # ----------------------------------------------------------------------
 
 
-def _scaled_sum(terms: list[complex]) -> float:
-    scale = max((abs(t) for t in terms), default=0.0)
+def _checked_scale(terms, what: str) -> float:
+    # The largest |term|.  A check whose terms are all 0 (underflow) or
+    # not all finite (overflow) compares nothing, so it raises instead of
+    # passing vacuously or returning NaN.
+    if not all(cmath.isfinite(t) for t in terms):
+        raise NotRepresentable(f"{what}: a term leaves double range; nothing can be checked")
+    scale = max(abs(t) for t in terms)
     if scale == 0.0:
-        return 0.0
-    return abs(sum(terms)) / scale
+        raise NotRepresentable(f"{what}: every term underflows to 0; nothing can be checked")
+    return scale
+
+
+def _scaled_sum(terms: list[complex]) -> float:
+    return abs(sum(terms)) / _checked_scale(terms, "residual")
 
 
 def residual_system(pair: RadialPair, r: float) -> tuple[float, float]:
@@ -193,7 +199,8 @@ def residual_system(pair: RadialPair, r: float) -> tuple[float, float]:
     -Delta E + (1 - theta) grad div E - k^2 E = 0); for TOROIDAL the
     single curl-type ODE is evaluated and returned as the first slot.
     Residuals are normalized by the largest constituent term, so a
-    solution yields values near machine epsilon regardless of scale.
+    solution yields values near machine epsilon regardless of scale;
+    terms that are all 0 or not all finite raise NotRepresentable.
     """
     r = float(r)
     if not (r > 0.0):
@@ -271,30 +278,6 @@ def divergence_field(mode: SteklovMode, p: BallPoint) -> float:
     return _field_real(value, scale * 1e-3, "divergence") * scalar_Y(mode.n, p.direction)
 
 
-def residual_div_helmholtz(mode: SteklovMode, p: BallPoint) -> float:
-    """Scaled residual of -Delta(div E) - (k^2/theta) div E at p.
-
-    The divergence of a family-1 eigenfield is Phi(r) Y_n(xi) with
-    Phi proportional to j_l(k r / sqrt(theta)), so it solves a scalar
-    Helmholtz equation; the scalar Laplacian is applied in modal form
-    (the angular factor Y_n cancels in the scaled residual).  Family 2
-    has vanishing divergence and returns 0.
-    """
-    if mode.family == 2:
-        return 0.0
-    phi = mode.radial.phi
-    r = p.r
-    big_l = mode.n.l * (mode.n.l + 1)
-    dphi = phi.deriv()
-    terms = [
-        -dphi.deriv()(r),
-        -2.0 * dphi(r) / r,
-        big_l * phi(r) / (r * r),
-        -(mode.k2 / mode.theta) * phi(r),
-    ]
-    return _scaled_sum(terms)
-
-
 # ----------------------------------------------------------------------
 # Boundary condition and weak form
 # ----------------------------------------------------------------------
@@ -329,16 +312,16 @@ def verify_steklov_bc(mode: SteklovMode, p: SurfacePoint) -> float:
     Both sides live on a single tangential harmonic, c A_tau and
     lambda t A_tau, so the residual is the modal mismatch relative to
     the larger side, |c - lambda t| / max(|c|, |lambda t|), times that
-    harmonic's magnitude at p; it is 0 when both sides vanish.  Being
-    relative, it does not grow with the scale of the unnormalized
-    eigenfield.
+    harmonic's magnitude at p.  Being relative, it does not grow with
+    the scale of the unnormalized eigenfield.  Raises NotRepresentable
+    when both sides are 0 or either is not finite.
     """
     trace, curl_coef = _trace_data(mode)
     tau = 1 if mode.family == 2 else 2
     magnitude = vector_A(tau, mode.n, p).norm()
     lam_trace = mode.eigenvalue * trace
-    scale = max(abs(curl_coef), abs(lam_trace))
-    return abs(curl_coef - lam_trace) / scale * magnitude if scale else 0.0
+    scale = _checked_scale([curl_coef, lam_trace], "boundary condition")
+    return abs(curl_coef - lam_trace) / scale * magnitude
 
 
 def _real_samples(f: RadialFunction, radii: np.ndarray, what: str) -> np.ndarray:
@@ -398,6 +381,7 @@ def _weak_identity_terms(
     return t_curl, t_field, t_div, t_boundary
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def verify_weak_identity(mode: SteklovMode) -> float:
     """Relative defect of the weak-form identity
 
@@ -408,15 +392,15 @@ def verify_weak_identity(mode: SteklovMode) -> float:
     r^2 weight times the surface rule for degree 2l + 4), normalized by
     the largest of the four terms.  Raises QuadratureTooCoarse when
     refining both orders by 4 moves the defect by more than 10% of that
-    scale.
+    scale, and NotRepresentable when the terms of either order are all 0
+    or not all finite.
     """
     l = mode.n.l
     radial_order, surface_order = 2 * l + 12, 2 * l + 4
     base = _weak_identity_terms(mode, radial_order, surface_order)
     refined = _weak_identity_terms(mode, radial_order + 4, surface_order + 4)
-    scale = max(abs(t) for t in refined)
-    if scale == 0.0:
-        return 0.0
+    _checked_scale(base, "weak identity")
+    scale = _checked_scale(refined, "weak identity")
     base_value = base[0] - base[1] + base[2] + base[3]
     refined_value = refined[0] - refined[1] + refined[2] + refined[3]
     if abs(base_value - refined_value) > 0.1 * scale:
@@ -463,80 +447,3 @@ def eigenfield_cartesian(mode: SteklovMode):
         )
 
     return field
-
-
-# ----------------------------------------------------------------------
-# Modal boundary-value solver
-# ----------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class ModalBoundaryData:
-    """Finitely supported tangential boundary datum
-
-        f = sum c_{tau n} A_{tau n},   tau in {1, 2},  l >= 1.
-
-    Only tangential components are allowed: a radial (A_3) part cannot
-    appear in nu x curl E data.
-    """
-
-    coefficients: tuple[tuple[tuple[int, ModeIndex], float], ...]
-
-    def __post_init__(self) -> None:
-        seen = set()
-        for (tau, n), c in self.coefficients:
-            if tau not in (1, 2):
-                raise InvalidMode(f"boundary data must be tangential, got tau = {tau!r}")
-            if n.l < 1:
-                raise InvalidMode("boundary data requires l >= 1")
-            if isinstance(c, complex) or not math.isfinite(float(c)):
-                raise DomainError(f"coefficient must be finite real, got {c!r}")
-            if (tau, n) in seen:
-                raise InvalidMode(f"duplicate boundary label ({tau}, {n})")
-            seen.add((tau, n))
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "ModalBoundaryData":
-        return cls(coefficients=tuple(sorted(data.items(), key=lambda kv: (kv[0][0], str(kv[0][1])))))
-
-    def items(self):
-        return self.coefficients
-
-
-def solve_boundary_modal(
-    data: ModalBoundaryData, k2: float, theta: float = 1.0
-) -> list[tuple[float, SteklovMode]]:
-    """Solve nu x curl U = f on the unit sphere for the interior
-    equation, mode by mode.
-
-    A datum component on A_1 couples to the family-2 eigenfield of the
-    same harmonic mode; a component on A_2 couples to family 1.  The
-    returned modes are rescaled to unit tangential trace on the sphere
-    (the harmonics are orthonormal, so that means trace coefficient 1)
-    and each weight is then c / lambda.
-
-    Raises ZeroEigenvalue if any required eigenvalue vanishes (the datum
-    is then outside the solvable range; see zero_in_spectrum) and
-    propagates DirichletResonance from the eigenvalue formulas.
-    """
-    solution = []
-    for (tau, n), c in data.items():
-        if c == 0.0:
-            continue
-        family = 2 if tau == 1 else 1
-        mode = steklov_mode(family, n, k2, theta)
-        if abs(mode.eigenvalue) < 1e-10:
-            raise ZeroEigenvalue(
-                f"eigenvalue vanishes for family {family}, l = {n.l}, k2 = {k2}"
-            )
-        trace, _ = _trace_data(mode)
-        normalized = SteklovMode(
-            family=mode.family,
-            n=mode.n,
-            k2=mode.k2,
-            theta=mode.theta,
-            eigenvalue=mode.eigenvalue,
-            radial=mode.radial.scaled(1.0 / trace),
-        )
-        solution.append((c / mode.eigenvalue, normalized))
-    return solution

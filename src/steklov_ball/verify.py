@@ -312,6 +312,11 @@ def _suite_resonances(ctx: _Context) -> list[Check]:
     checks.append(
         Check("resonances", "poles flagged and sign-changing", worst_pole_gap == 0.0, worst_pole_gap, 0.5)
     )
+    pole = resonances.family1_resonances(1, 1.0, 1).roots[0] ** 2
+    hit_clear, nearest = resonances.exclusion_check(pole, 1.0, ctx.cap(3))
+    far_clear, _ = resonances.exclusion_check(20.0, 1.0, ctx.cap(3))
+    agreed = not hit_clear and nearest == pole and far_clear
+    checks.append(Check("resonances", "exclusion check bookkeeping", bool(agreed), 0.0 if agreed else 1.0, 0.5))
     return checks
 
 

@@ -6,18 +6,13 @@ so the assertions are tight.
 
 from __future__ import annotations
 
-import math
-
 import pytest
 
 from steklov_ball import (
     InvalidMode,
     DomainError,
-    LengthMismatch,
     ball_steklov_spectrum,
-    h_half_norm,
     harmonic_polynomial_dimension,
-    laplace_beltrami_eig,
     multiplicity,
     weyl_exponent_fit,
 )
@@ -59,12 +54,6 @@ def test_multiplicity_is_exact_integer():
     assert val == harmonic_polynomial_dimension(6, 40)
 
 
-def test_laplace_beltrami_eigenvalues():
-    assert laplace_beltrami_eig(3, 1.0, 4) == pytest.approx(20.0)
-    assert laplace_beltrami_eig(3, 2.0, 4) == pytest.approx(5.0)
-    assert laplace_beltrami_eig(5, 1.0, 2) == pytest.approx(2 * (2 + 3))
-
-
 def test_spectrum_entries_structure():
     s = ball_steklov_spectrum(4, count=5)
     assert s.dim == 4 and s.radius == 1.0
@@ -100,21 +89,6 @@ def test_weyl_four_dimensional():
     # slower approach in higher dimension: just bracket it loosely at
     # the 1e5 scale and tighter at 1e6
     assert abs(weyl_exponent_fit(4, 100_000) - 1.0 / 3.0) < 0.02
-
-
-def test_h_half_norm_values():
-    assert h_half_norm([1.0], [0.0]) == pytest.approx(1.0)
-    assert h_half_norm([0.0, 1.0], [0.0, 1.0]) == pytest.approx(math.sqrt(2.0))
-    # partial sums with c_j = 1/j over the 2-sphere spectrum
-    eigs = [float(j * (j + 1)) for j in range(1, 40)]
-    coef = [1.0 / j for j in range(1, 40)]
-    want = math.sqrt(sum((e + 1.0) * c * c for e, c in zip(eigs, coef)))
-    assert h_half_norm(coef, eigs) == pytest.approx(want, rel=1e-14)
-
-
-def test_h_half_norm_mismatch():
-    with pytest.raises(LengthMismatch):
-        h_half_norm([1.0, 2.0], [0.0])
 
 
 def test_classical_validation():

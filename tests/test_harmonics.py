@@ -1,9 +1,8 @@
 """Real spherical harmonics and the tangential/radial vector basis.
 
 The basis on the sphere is A_1 (tangential), A_2 = xi x A_1
-(tangential) and A_3 = Y xi (radial); all calculus identities used by
-the eigenfield code are checked here against finite differences on the
-corresponding Cartesian fields.
+(tangential) and A_3 = Y xi (radial); their vector Laplacian is checked
+here against finite differences on the corresponding Cartesian fields.
 """
 
 from __future__ import annotations
@@ -23,18 +22,14 @@ from steklov_ball import (
     SurfacePoint,
     Vec3,
     check_vector_laplacian,
-    curl_radial,
     enumerate_modes,
-    expand_field,
     gram_matrix,
     scalar_Y,
     steklov_mode,
     surface_direction,
     surface_quadrature,
     vector_A,
-    vector_A_ball,
 )
-from steklov_ball import fd
 
 POINTS = [
     SurfacePoint(0.4, 0.9),
@@ -63,6 +58,20 @@ def test_degree_arguments_are_integers():
         for bad in (2.5, True):
             with pytest.raises(InvalidMode, match=f"got {bad!r}$"):
                 func(bad)
+
+
+def test_l_max_is_bounded_up_front():
+    # Degrees stop at 200, where the Legendre towers do; a larger l_max
+    # is refused before any work, not after building the modes.
+    for func, bad in ((enumerate_modes, 201), (enumerate_modes, 400), (gram_matrix, 300)):
+        with pytest.raises(InvalidMode, match=r"in \[0, 200\], got"):
+            func(bad)
+    assert len(enumerate_modes(200)) == 201**2
+    # A surface rule integrates products of two harmonics, so its own
+    # bound is the weak identity's finest order at degree 200.
+    assert surface_quadrature(408).weights.shape == (412 * 818,)
+    with pytest.raises(InvalidMode, match=r"in \[0, 408\], got 409"):
+        surface_quadrature(409)
 
 
 def test_enumerate_modes_count():
@@ -155,77 +164,6 @@ def test_surface_direction_round_trip():
     assert q.phi == pytest.approx(p.phi, abs=1e-14)
     with pytest.raises(DomainError):
         surface_direction([0.0, 0.0, 0.0])
-
-
-def test_curl_radial_closed_forms():
-    n = ModeIndex("even", 0, 1)
-    # curl(r A_2) = -(1/r)(r^2)' A_1 = -2 A_1 at r = 1
-    assert curl_radial(2, n, 1.0, 2.0, 1.0) == pytest.approx((-2.0, 0.0, 0.0))
-    # curl(A_3) = sqrt(l(l+1)) (1/r) A_1 = sqrt(2) A_1 at r = 1
-    assert curl_radial(3, n, 1.0, 1.0, 1.0)[0] == pytest.approx(math.sqrt(2.0))
-    # curl(f A_1) feeds both A_2 and A_3
-    c = curl_radial(1, n, 1.0, 2.0, 1.0)
-    assert c[0] == 0.0
-    assert c[1] == pytest.approx(2.0)
-    assert c[2] == pytest.approx(math.sqrt(2.0))
-
-
-def _xyz(p: BallPoint) -> np.ndarray:
-    return p.r * Vec3(1.0, 0.0, 0.0).to_cartesian(p.direction)
-
-
-@pytest.mark.parametrize("tau", [1, 2, 3])
-def test_curl_radial_matches_finite_difference(tau):
-    # Compare the modal curl of f(r) A_tau with a Cartesian FD curl.
-    n = ModeIndex("even", 1, 2)
-    f = lambda r: r * r
-    rfp = lambda r: 3.0 * r  # (1/r) d(r f)/dr
-    p = BallPoint(0.8, SurfacePoint(1.2, 0.6))
-
-    def field(xyz):
-        r = float(np.linalg.norm(xyz))
-        d = surface_direction(xyz)
-        return f(r) * vector_A(tau, n, d).to_cartesian(d)
-
-    got = fd.curl(field, _xyz(p), 1e-5, richardson=True)
-    c1, c2, c3 = curl_radial(tau, n, f(p.r), rfp(p.r), p.r)
-    want = (
-        c1 * vector_A(1, n, p.direction).to_cartesian(p.direction)
-        + c2 * vector_A(2, n, p.direction).to_cartesian(p.direction)
-        + c3 * vector_A(3, n, p.direction).to_cartesian(p.direction)
-    )
-    assert np.max(np.abs(got - want)) < 1e-8
-
-
-def test_expand_field_recovers_vertical_unit_field():
-    # The constant field z-hat is pure degree 1, m = 0, even.
-    sampler = lambda bp: Vec3.from_cartesian(np.array([0.0, 0.0, 1.0]), bp.direction)
-    nodes = [0.35, 0.8, 1.0]
-    coeffs = expand_field(sampler, 3, nodes)
-    total = 0.0
-    for (tau, n), arr in coeffs.items():
-        peak = float(np.max(np.abs(arr)))
-        if peak > 1e-12:
-            assert n.l == 1 and n.m == 0 and n.parity == "even"
-        total += peak
-    assert total > 0.5  # something was actually captured
-    # reconstruction at one node
-    p = BallPoint(nodes[1], SurfacePoint(0.9, 1.4))
-    rec = np.zeros(3)
-    for (tau, n), arr in coeffs.items():
-        if abs(arr[1]) > 1e-14:
-            rec = rec + arr[1] * vector_A(tau, n, p.direction).as_array()
-    want = Vec3.from_cartesian(np.array([0.0, 0.0, 1.0]), p.direction).as_array()
-    assert np.max(np.abs(rec - want)) < 1e-10
-
-
-def test_expand_field_isolates_single_mode():
-    n = ModeIndex("odd", 2, 3)
-    sampler = lambda bp: vector_A_ball(2, n, bp)
-    coeffs = expand_field(sampler, 4, [1.0])
-    for (tau, nn), arr in coeffs.items():
-        want = 1.0 if (tau, nn) == (2, n) else 0.0
-        assert arr[0] == pytest.approx(want, abs=1e-11)
 
 
 @pytest.mark.parametrize("tau", [1, 2, 3])

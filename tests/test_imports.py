@@ -2,31 +2,31 @@
 classical, errors) loads no verification module, neither on import nor
 when the root queries run, a sweep process loads
 only what it runs, the package's public names resolve lazily without
-being cached, and only the CLI sets a process default in os.environ."""
+being cached and are each used by the package itself, and only the CLI
+sets a process default in os.environ."""
 
 from __future__ import annotations
 
+import ast
 import json
 import os
+import pathlib
 import subprocess
 import sys
 
 import steklov_ball
 
 PUBLIC_NAMES = """
-BallPoint Check DirichletResonance DomainError InvalidMode LengthMismatch ModalBoundaryData
-ModeIndex NonRealEigenvalue NotRepresentable QuadratureRule QuadratureTooCoarse
-RadialFunction RadialKind
-RadialPair RootList ScalarSpectrum ScanExhausted SpectrumWitness SteklovBallError SteklovMode
-StepTooLarge SurfacePoint SurfaceRule Vec3 VerifyReport ZeroEigenvalue assoc_legendre
-ball_steklov_spectrum bessel_operator bessel_zeros check_vector_laplacian curl_radial
-divergence_coeffs divergence_field eigenfield eigenfield_cartesian enumerate_modes
-exclusion_check expand_field family1_resonances gauss_legendre gram_matrix h_half_norm
-harmonic_polynomial_dimension lambda1 lambda1_theta1_alt lambda2 laplace_beltrami_eig
-magnetic_zeros multiplicity neumann_zeros radial_profiles residual_div_helmholtz
-residual_fourth_order residual_system run_suites scalar_Y solve_boundary_modal sph_bessel_j
-sph_bessel_j_all sph_bessel_j_deriv steklov_mode surface_direction surface_quadrature vector_A
-vector_A_ball verify_steklov_bc verify_weak_identity weyl_exponent_fit zero_in_spectrum
+BallPoint Check DirichletResonance DomainError InvalidMode ModeIndex NonRealEigenvalue
+NotRepresentable QuadratureRule QuadratureTooCoarse RadialFunction RadialKind RadialPair
+RootList ScalarSpectrum ScanExhausted SpectrumWitness SteklovBallError SteklovMode StepTooLarge
+SurfacePoint SurfaceRule Vec3 VerifyReport ball_steklov_spectrum bessel_operator bessel_zeros
+check_vector_laplacian divergence_field eigenfield eigenfield_cartesian enumerate_modes
+exclusion_check family1_resonances gauss_legendre gram_matrix harmonic_polynomial_dimension
+lambda1 lambda1_theta1_alt lambda2 magnetic_zeros multiplicity neumann_zeros radial_profiles
+residual_fourth_order residual_system run_suites scalar_Y sph_bessel_j sph_bessel_j_all
+sph_bessel_j_deriv steklov_mode surface_direction surface_quadrature vector_A verify_steklov_bc
+verify_weak_identity weyl_exponent_fit zero_in_spectrum
 """.split()
 SUBMODULES = """
 classical cli errors fd harmonics kernel radial resonances specfun spectrum verify
@@ -84,6 +84,26 @@ def test_public_names_and_submodules_resolve():
     exec("from steklov_ball import *", star)
     assert set(star) - {"__builtins__"} == set(PUBLIC_NAMES)
     assert [n for n in dir(steklov_ball) if not n.startswith("_")] == sorted(PUBLIC_NAMES + SUBMODULES)
+
+
+def test_every_public_name_is_used_by_the_package():
+    # A public name earns its place when a command, a verify suite or
+    # another package function reaches it: some module other than
+    # __init__ (whose name table only lists it) refers to it by name or
+    # attribute.  Tests do not count; a name only they use is dead code.
+    used = set()
+    for path in pathlib.Path(steklov_ball.__file__).parent.glob("*.py"):
+        if path.name != "__init__.py":
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.Name):
+                    used.add(node.id)
+                elif isinstance(node, ast.Attribute):
+                    used.add(node.attr)
+    exported = {name: name for name in steklov_ball.__all__}
+    for module in SUBMODULES:
+        for name in getattr(getattr(steklov_ball, module), "__all__", ()):
+            exported.setdefault(name, f"{module}.{name}")
+    assert sorted(label for name, label in exported.items() if name not in used) == []
 
 
 def test_public_names_are_not_cached(monkeypatch):

@@ -18,7 +18,6 @@ from steklov_ball import (
     RadialFunction,
     RadialKind,
     bessel_operator,
-    divergence_coeffs,
     radial_profiles,
     sph_bessel_j,
     sph_bessel_j_deriv,
@@ -109,6 +108,13 @@ def test_bessel_operator_nests():
     assert abs(b2(0.7)) < 1e-9
 
 
+def phi_reference(pair, r: float) -> complex:
+    # div(e2 A_2 + e3 A_3) = Phi Y with Phi = e3' + 2 e3 / r - sqrt(l(l+1)) e2 / r,
+    # evaluated pointwise rather than through the radial algebra.
+    l = pair.l
+    return pair.e3.deriv()(r) + 2.0 * pair.e3(r) / r - math.sqrt(l * (l + 1)) * pair.e2(r) / r
+
+
 def test_divergence_coeffs_closed_forms():
     # solenoidal fields are divergence-free; compressive divergence is
     # -(k^2/theta) j_l(q r).
@@ -117,11 +123,11 @@ def test_divergence_coeffs_closed_forms():
     sol = radial_profiles(RadialKind.SOLENOIDAL, l, k2, theta)
     com = radial_profiles(RadialKind.COMPRESSIVE, l, k2, theta)
     for r in (0.3, 0.7, 1.0):
-        dsol = divergence_coeffs(sol.e2(r), sol.e3(r), sol.e3.deriv()(r), l, r)
-        assert abs(dsol) < 1e-12 * max(1.0, abs(sol.e3(r)))
-        dcom = divergence_coeffs(com.e2(r), com.e3(r), com.e3.deriv()(r), l, r)
+        for dsol in (sol.phi(r), phi_reference(sol, r)):
+            assert abs(dsol) < 1e-12 * max(1.0, abs(sol.e3(r)))
         want = -(k2 / theta) * sph_bessel_j(l, q * r)
-        assert dcom == pytest.approx(want, rel=1e-11)
+        for dcom in (com.phi(r), phi_reference(com, r)):
+            assert dcom == pytest.approx(want, rel=1e-11)
 
 
 def test_radial_function_calculus():
@@ -148,8 +154,7 @@ def test_derivatives_and_phi_are_built_once():
             assert fresh.deriv().deriv()(r) == f.deriv().deriv()(r)
     assert pair.phi is pair.phi
     for r in RS:
-        want = divergence_coeffs(pair.e2(r), pair.e3(r), pair.e3.deriv()(r), 3, r)
-        assert pair.phi(r) == pytest.approx(want, rel=1e-13, abs=1e-15)
+        assert pair.phi(r) == pytest.approx(phi_reference(pair, r), rel=1e-13, abs=1e-15)
 
 
 def test_negative_k2_profiles_are_real():

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -18,12 +19,11 @@ from steklov_ball import (
     DirichletResonance,
     DomainError,
     InvalidMode,
-    ModalBoundaryData,
     ModeIndex,
+    NotRepresentable,
     QuadratureTooCoarse,
     RadialKind,
     SurfacePoint,
-    ZeroEigenvalue,
     bessel_zeros,
     divergence_field,
     eigenfield,
@@ -34,11 +34,9 @@ from steklov_ball import (
     magnetic_zeros,
     neumann_zeros,
     radial_profiles,
-    residual_div_helmholtz,
     residual_fourth_order,
     residual_system,
     scalar_Y,
-    solve_boundary_modal,
     sph_bessel_j,
     steklov_mode,
     verify_steklov_bc,
@@ -320,7 +318,6 @@ def test_divergence_dichotomy_pointwise():
         want = -(7.0 / 2.0) * sph_bessel_j(2, q * p.r).real * scalar_Y(n, p.direction)
         got = divergence_field(m1, p)
         assert got == pytest.approx(want, rel=1e-10, abs=1e-12)
-        assert residual_div_helmholtz(m1, p) <= 1e-10
 
 
 def test_divergence_finite_difference_order():
@@ -364,66 +361,39 @@ def test_eigenfields_are_real_for_negative_k2():
             assert isinstance(c, float)
 
 
+def test_eigenfield_checks_refuse_an_underflowed_mode():
+    # Family 2 at l = 200, k^2 = 0.3: e1 is exactly 0 at r = 1 and at
+    # r = 0.5, so each check would compare 0 with 0 and pass vacuously.
+    # Family 1 at l = 150, k^2 = 1: every weak-form term is 0.
+    mode = steklov_mode(2, ModeIndex("even", 0, 200), 0.3)
+    checks = (
+        lambda: verify_steklov_bc(mode, SURFACE_POINTS[0]),
+        lambda: verify_weak_identity(mode),
+        lambda: residual_system(mode.radial, 1.0),
+        lambda: residual_system(mode.radial, 0.5),
+        lambda: verify_weak_identity(steklov_mode(1, ModeIndex("even", 0, 150), 1.0)),
+    )
+    for check in checks:
+        with pytest.raises(NotRepresentable, match="underflows to 0"):
+            check()
+
+
+def test_eigenfield_checks_refuse_an_overflowed_mode():
+    # Family 1 at l = 1, k^2 = -4.9e5: e2(1) = -2.5e306, so the boundary
+    # sides and the weak-form squares leave double range.  Both checks
+    # raise instead of returning NaN, and numpy prints no warning.
+    mode = steklov_mode(1, ModeIndex("even", 0, 1), -4.9e5, 1.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for check in (lambda: verify_steklov_bc(mode, SURFACE_POINTS[0]), lambda: verify_weak_identity(mode)):
+            with pytest.raises(NotRepresentable, match="leaves double range"):
+                check()
+
+
 def test_weak_identity_quadrature_guards():
     mode = steklov_mode(1, ModeIndex("even", 0, 1), 900.0, 1.0)
     with pytest.raises(QuadratureTooCoarse):
         verify_weak_identity(mode)
-
-
-def test_solve_boundary_modal_two_components():
-    n11 = ModeIndex("even", 1, 1)
-    n21 = ModeIndex("odd", 1, 2)
-    data = ModalBoundaryData.from_dict({(1, n11): 2.0, (2, n21): -0.5})
-    sol = solve_boundary_modal(data, 2.0, 1.0)
-    assert len(sol) == 2
-    fam_by_l = {m.n.l: (w, m) for w, m in sol}
-    # A_1 datum -> family 2; A_2 datum -> family 1
-    w2, m2 = fam_by_l[1]
-    assert m2.family == 2
-    assert w2 == pytest.approx(2.0 / lambda2(1, 2.0), rel=1e-12)
-    w1, m1 = fam_by_l[2]
-    assert m1.family == 1
-    assert w1 == pytest.approx(-0.5 / lambda1(2, 2.0, 1.0), rel=1e-12)
-    # returned modes carry unit tangential trace
-    for _, m in sol:
-        tau = 1 if m.family == 2 else 2
-        f = m.radial.e1 if m.family == 2 else m.radial.e2
-        assert abs(f(1.0)) == pytest.approx(1.0, rel=1e-11)
-
-
-def test_solve_boundary_modal_reconstructs_datum():
-    # weight * (boundary trace of nu x curl) must reproduce c.
-    n = ModeIndex("even", 0, 1)
-    c = 3.7
-    sol = solve_boundary_modal(ModalBoundaryData.from_dict({(1, n): c}), 4.0, 1.0)
-    (w, m), = sol
-    # for the toroidal field, nu x curl E = lambda E_T with unit trace,
-    # so w * lambda must equal c
-    assert w * m.eigenvalue == pytest.approx(c, rel=1e-12)
-
-
-def test_solve_boundary_modal_empty_and_zero():
-    assert solve_boundary_modal(ModalBoundaryData.from_dict({}), 1.0) == []
-    n = ModeIndex("even", 0, 1)
-    out = solve_boundary_modal(ModalBoundaryData.from_dict({(1, n): 0.0}), 1.0)
-    assert out == []
-
-
-def test_solve_boundary_modal_zero_eigenvalue():
-    z = magnetic_zeros(1, 1).roots[0]
-    n = ModeIndex("even", 0, 1)
-    with pytest.raises(ZeroEigenvalue):
-        solve_boundary_modal(ModalBoundaryData.from_dict({(1, n): 1.0}), z * z, 1.0)
-
-
-def test_modal_boundary_data_validation():
-    n = ModeIndex("even", 0, 1)
-    with pytest.raises(InvalidMode):
-        ModalBoundaryData.from_dict({(3, n): 1.0})
-    with pytest.raises(InvalidMode):
-        ModalBoundaryData.from_dict({(1, ModeIndex("even", 0, 0)): 1.0})
-    with pytest.raises(DomainError):
-        ModalBoundaryData.from_dict({(1, n): float("nan")})
 
 
 def test_zero_in_spectrum_witnesses():
@@ -470,7 +440,7 @@ def test_weak_identity_surface_sums_match_pointwise():
         surf = surface_quadrature(2 * n.l + 4)
         pointwise = [
             float(np.sum(surf.weights * np.array(
-                [vector_A(tau, n, p).norm() ** 2 for p in surf.points()]
+                [vector_A(tau, n, SurfacePoint(t, ph)).norm() ** 2 for t, ph in zip(surf.theta, surf.phi)]
             )))
             for tau in (1, 2, 3)
         ]

@@ -10,7 +10,7 @@ def test_all_checks_pass_with_error_residuals_below_1e_12():
     # Checks with a tolerance of at most 1e-8 compare two routes to one
     # number; the others are orders, counts or flags.
     report = run_suites()
-    assert len(report.checks) == 21 and report.passed
+    assert len(report.checks) == 22 and report.passed
     errors = {c.name: c.residual for c in report.checks if c.tolerance <= 1e-8}
     assert len(errors) == 13
     assert max(errors.values()) <= 1e-12, errors
