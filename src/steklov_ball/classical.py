@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, InvalidMode
+from .errors import DomainError, _integer, _positive
 
 __all__ = [
     "ScalarSpectrum",
@@ -28,15 +28,6 @@ __all__ = [
 _MAX_FLATTENED = 10**6
 
 
-def _validate_dim_radius(n: int, radius: float) -> float:
-    if not isinstance(n, int) or isinstance(n, bool) or n < 2:
-        raise InvalidMode(f"dimension must be an integer >= 2, got {n!r}")
-    radius = float(radius)
-    if not (radius > 0.0) or not math.isfinite(radius):
-        raise DomainError(f"radius must be positive and finite, got {radius!r}")
-    return radius
-
-
 def multiplicity(n: int, j: int) -> int:
     """Multiplicity of the eigenvalue j/R on the n-ball, in exact
     integer arithmetic: (2j + n - 2) (j + n - 3)! / (j! (n - 2)!) for
@@ -46,10 +37,8 @@ def multiplicity(n: int, j: int) -> int:
     divided by (n-2)!, so nothing overflows before the final exact
     division even at j = 10^4, n = 6.
     """
-    if not isinstance(j, int) or isinstance(j, bool) or j < 0:
-        raise InvalidMode(f"index j must be an integer >= 0, got {j!r}")
-    if not isinstance(n, int) or isinstance(n, bool) or n < 2:
-        raise InvalidMode(f"dimension must be an integer >= 2, got {n!r}")
+    j = _integer(j, "index j", 0)
+    n = _integer(n, "dimension", 2)
     if j == 0:
         return 1
     if n == 2:
@@ -63,10 +52,8 @@ def multiplicity(n: int, j: int) -> int:
 def harmonic_polynomial_dimension(n: int, j: int) -> int:
     """Dimension of the space of harmonic homogeneous polynomials of
     degree j in n variables: C(n+j-1, j) - C(n+j-3, j-2)."""
-    if not isinstance(j, int) or isinstance(j, bool) or j < 0:
-        raise InvalidMode(f"degree j must be an integer >= 0, got {j!r}")
-    if not isinstance(n, int) or isinstance(n, bool) or n < 2:
-        raise InvalidMode(f"dimension must be an integer >= 2, got {n!r}")
+    j = _integer(j, "degree j", 0)
+    n = _integer(n, "dimension", 2)
     first = math.comb(n + j - 1, j)
     second = math.comb(n + j - 3, j - 2) if j >= 2 else 0
     return first - second
@@ -103,11 +90,9 @@ class ScalarSpectrum:
 def ball_steklov_spectrum(n: int, radius: float = 1.0, count: int = 100) -> ScalarSpectrum:
     """First `count` (flattened) Steklov eigenvalues of the n-ball of
     the given radius, grouped by degree with multiplicities."""
-    radius = _validate_dim_radius(n, radius)
-    if not isinstance(count, int) or isinstance(count, bool) or count < 1:
-        raise DomainError(f"count must be a positive integer, got {count!r}")
-    if count > _MAX_FLATTENED:
-        raise DomainError(f"count must be <= {_MAX_FLATTENED}, got {count}")
+    n = _integer(n, "dimension", 2)
+    radius = _positive(radius, "radius")
+    count = _integer(count, "count", 1, _MAX_FLATTENED, DomainError)
     entries = []
     total = 0
     j = 0
@@ -123,8 +108,7 @@ def weyl_exponent_fit(n: int, count: int) -> float:
     """Least-squares slope of log(eigenvalue) against log(rank) over the
     upper half of the unit-ball spectrum; the counting asymptotics make
     it approach 1/(n - 1) as count grows."""
-    if not isinstance(count, int) or isinstance(count, bool) or count < 1000:
-        raise DomainError(f"count must be an integer >= 1000, got {count!r}")
+    count = _integer(count, "count", 1000, _MAX_FLATTENED, DomainError)
     values = ball_steklov_spectrum(n, 1.0, count).flattened(count)
     ranks = np.arange(1, len(values) + 1, dtype=float)
     half = len(values) // 2

@@ -4,7 +4,17 @@ Everything raised on purpose by this package derives from
 :class:`SteklovBallError`, mixed in with the closest builtin category so
 callers can keep catching ``ValueError`` / ``ArithmeticError`` /
 ``RuntimeError`` if they prefer.
+
+It also holds the one argument policy every entry point applies: the
+integer and positive-real rules, the (l, k^2, theta) domain of the
+eigenvalues and its bounds.
 """
+
+import math
+import operator
+
+_L_MAX = 200  # the highest degree l that any entry point of the package accepts
+_K2_MAX = 1e10  # the largest |k^2| and |k^2/theta| that any entry point accepts
 
 
 class SteklovBallError(Exception):
@@ -52,3 +62,45 @@ class QuadratureTooCoarse(SteklovBallError, RuntimeError):
 class ScanExhausted(SteklovBallError, RuntimeError):
     """A root scan reached its search ceiling before finding the
     requested number of sign changes."""
+
+
+def _integer(value, name: str, lo: float, hi: float = math.inf, error: type = InvalidMode) -> int:
+    """`value` as a plain int: a Python or numpy integer, not a bool, in
+    [lo, hi]; anything else raises `error`."""
+    if type(value) is int and lo <= value <= hi:  # the common case costs one test
+        return value
+    try:
+        number = operator.index(value)
+    except TypeError:
+        number = None
+    if number is None or isinstance(value, bool) or not lo <= number <= hi:
+        raise error(f"{name} must be an integer in [{lo}, {hi}], got {value!r}")
+    return number
+
+
+def _positive(value, name: str, error: type = DomainError) -> float:
+    """`value` as a float in (0, inf); complex numbers and anything that
+    float() refuses raise `error`."""
+    try:
+        number = math.nan if isinstance(value, complex) else float(value)
+    except (TypeError, ValueError):
+        number = math.nan
+    if not 0.0 < number < math.inf:
+        raise error(f"{name} must be positive and finite, got {value!r}")
+    return number
+
+
+def _validate_eig_args(l, k2, theta=1.0) -> tuple[int, float, float]:
+    """The eigenvalue domain: a degree l in [1, 200], a finite nonzero
+    real k^2 and a positive finite theta with |k^2| and |k^2/theta| at
+    most 1e10, since the continued fraction starts above |k| and |q|."""
+    l = _integer(l, "degree l", 1, _L_MAX)
+    if isinstance(k2, complex):
+        raise InvalidMode(f"k2 must be real, got {k2!r}")
+    k2 = float(k2)
+    if not math.isfinite(k2) or k2 == 0.0:
+        raise InvalidMode(f"k2 must be finite and nonzero, got {k2!r}")
+    theta = _positive(theta, "theta")
+    if max(abs(k2), abs(k2) / theta) > _K2_MAX:
+        raise DomainError(f"|k2| and |k2/theta| must be at most {_K2_MAX:g}, got {k2!r}, {theta!r}")
+    return l, k2, theta

@@ -12,18 +12,11 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, _positive
 
 __all__ = ["divergence", "vector_laplacian"]
 
 Vector = Callable[[np.ndarray], Sequence[complex]]
-
-
-def _validate_step(h: float) -> float:
-    h = float(h)
-    if not (h > 0.0) or not np.isfinite(h):
-        raise DomainError(f"step must be positive and finite, got {h!r}")
-    return h
 
 
 def _point(p: Sequence[float]) -> np.ndarray:
@@ -35,7 +28,7 @@ def _point(p: Sequence[float]) -> np.ndarray:
 
 def divergence(field: Vector, p, h: float):
     """Divergence of a vector field at a point, by the O(h^2) stencil."""
-    h = _validate_step(h)
+    h = _positive(h, "step")
     p = _point(p)
     total = 0.0
     for axis in range(3):
@@ -50,7 +43,7 @@ def divergence(field: Vector, p, h: float):
 def vector_laplacian(field: Vector, p, h: float) -> np.ndarray:
     """Componentwise Laplacian of a vector field at a point, by the
     O(h^2) stencil; real when every component is."""
-    h = _validate_step(h)
+    h = _positive(h, "step")
     p = _point(p)
     center = np.asarray(field(p), dtype=complex)
     total = -6.0 * center

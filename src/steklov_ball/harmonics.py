@@ -28,8 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import fd
-from .errors import DomainError, InvalidMode, StepTooLarge
-from .kernel import _L_MAX
+from .errors import _L_MAX, DomainError, InvalidMode, StepTooLarge, _integer, _positive
 from .specfun import assoc_legendre_tower, gauss_legendre
 
 __all__ = [
@@ -65,17 +64,11 @@ class ModeIndex:
     def __post_init__(self) -> None:
         if self.parity not in _PARITIES:
             raise InvalidMode(f"parity must be 'even' or 'odd', got {self.parity!r}")
-        if not isinstance(self.m, (int, np.integer)) or isinstance(self.m, bool):
-            raise InvalidMode(f"m must be an integer, got {self.m!r}")
-        if not isinstance(self.l, (int, np.integer)) or isinstance(self.l, bool):
-            raise InvalidMode(f"l must be an integer, got {self.l!r}")
-        if not (0 <= self.m <= self.l):
-            raise InvalidMode(f"need 0 <= m <= l, got m = {self.m}, l = {self.l}")
+        # Plain ints, so that numpy integers pass every later degree check.
+        object.__setattr__(self, "l", _integer(self.l, "l", 0, _L_MAX))
+        object.__setattr__(self, "m", _integer(self.m, "m", 0, self.l))
         if self.parity == "odd" and self.m == 0:
             raise InvalidMode("(odd, 0, l) modes vanish identically")
-        # Plain ints, so that numpy integers pass every later degree check.
-        object.__setattr__(self, "m", int(self.m))
-        object.__setattr__(self, "l", int(self.l))
 
 
 @dataclass(frozen=True)
@@ -162,30 +155,12 @@ class Vec3:
                 raise DomainError(f"{name} must be finite, got {v!r}")
             object.__setattr__(self, name, v)
 
-    def as_array(self) -> np.ndarray:
-        return np.array([self.er, self.etheta, self.ephi])
-
     def to_cartesian(self, direction: SurfacePoint) -> np.ndarray:
         e_r, e_t, e_p = _frame(direction)
         return self.er * e_r + self.etheta * e_t + self.ephi * e_p
 
-    @classmethod
-    def from_cartesian(cls, vec, direction: SurfacePoint) -> "Vec3":
-        vec = np.asarray(vec, dtype=float)
-        e_r, e_t, e_p = _frame(direction)
-        return cls(
-            er=float(vec @ e_r), etheta=float(vec @ e_t), ephi=float(vec @ e_p)
-        )
-
     def norm(self) -> float:
         return math.hypot(self.er, self.etheta, self.ephi)
-
-    def dot(self, other: "Vec3") -> float:
-        return (
-            self.er * other.er
-            + self.etheta * other.etheta
-            + self.ephi * other.ephi
-        )
 
     def __add__(self, other: "Vec3") -> "Vec3":
         return Vec3(
@@ -194,22 +169,10 @@ class Vec3:
             self.ephi + other.ephi,
         )
 
-    def __sub__(self, other: "Vec3") -> "Vec3":
-        return Vec3(
-            self.er - other.er,
-            self.etheta - other.etheta,
-            self.ephi - other.ephi,
-        )
-
     def __mul__(self, scalar: float) -> "Vec3":
         return Vec3(self.er * scalar, self.etheta * scalar, self.ephi * scalar)
 
     __rmul__ = __mul__
-
-
-def _check_l_max(l_max: int, top: int = _L_MAX) -> None:
-    if not isinstance(l_max, (int, np.integer)) or isinstance(l_max, bool) or not 0 <= l_max <= top:
-        raise InvalidMode(f"l_max must be an integer in [0, {top}], got {l_max!r}")
 
 
 def enumerate_modes(l_max: int) -> list[ModeIndex]:
@@ -217,7 +180,7 @@ def enumerate_modes(l_max: int) -> list[ModeIndex]:
 
     Ordered by degree, then parity (even before odd), then m.
     """
-    _check_l_max(l_max)
+    l_max = _integer(l_max, "l_max", 0, _L_MAX)
     modes = []
     for l in range(l_max + 1):
         for m in range(l + 1):
@@ -316,9 +279,7 @@ def check_vector_laplacian(tau: int, n: ModeIndex, p: BallPoint, h: float) -> fl
     stencils, so the residual decreases like h^2.
     """
     _validate_tau(tau, n)
-    h = float(h)
-    if not (h > 0.0):
-        raise DomainError(f"h must be positive, got {h!r}")
+    h = _positive(h, "h")
     if h > p.r / 4.0:
         raise StepTooLarge(f"h = {h!r} exceeds r/4 = {p.r / 4.0!r}")
 
@@ -363,7 +324,7 @@ def surface_quadrature(l_max: int) -> SurfaceRule:
     """Surface rule integrating products of harmonics up to degree l_max
     each (polynomial degree 2 l_max + 1 in cos theta) exactly.  l_max
     runs to 2 * 200 + 8, the finest rule the weak identity builds."""
-    _check_l_max(l_max, 2 * _L_MAX + 8)
+    l_max = _integer(l_max, "l_max", 0, 2 * _L_MAX + 8)
     n_theta = l_max + 4
     n_phi = max(4, 2 * l_max + 2)
     gauss = gauss_legendre(n_theta)

@@ -13,33 +13,9 @@ import math
 
 import numpy as np
 
-from .errors import DirichletResonance, DomainError, InvalidMode
+from .errors import _L_MAX, DirichletResonance, InvalidMode, _integer, _validate_eig_args
 
 __all__ = ["eigen_grid", "lambda1", "lambda2"]
-
-_L_MAX = 200  # the highest degree l that any entry point of the package accepts
-_K2_MAX = 1e10  # the largest |k^2| and |k^2/theta| that any entry point accepts
-
-
-def _check_theta(theta: float) -> float:
-    if isinstance(theta, complex) or not (0.0 < float(theta) < math.inf):
-        raise DomainError(f"theta must be positive and finite, got {theta!r}")
-    return float(theta)
-
-
-def _validate_eig_args(l: int, k2: float, theta: float = 1.0) -> tuple[float, float]:
-    if not isinstance(l, int) or isinstance(l, bool) or not 1 <= l <= _L_MAX:
-        raise InvalidMode(f"degree l must be an integer in [1, {_L_MAX}], got {l!r}")
-    if isinstance(k2, complex):
-        raise InvalidMode(f"k2 must be real, got {k2!r}")
-    k2 = float(k2)
-    if not math.isfinite(k2) or k2 == 0.0:
-        raise InvalidMode(f"k2 must be finite and nonzero, got {k2!r}")
-    theta = _check_theta(theta)
-    # The continued fraction starts above |k| and |q|, so both are bounded.
-    if max(abs(k2), abs(k2) / theta) > _K2_MAX:
-        raise DomainError(f"|k2| and |k2/theta| must be at most {_K2_MAX:g}, got {k2!r}, {theta!r}")
-    return k2, theta
 
 
 def _ratio(l: int, z2: float) -> float:
@@ -95,6 +71,7 @@ def eigen_grid(family: int, l_lo: int, l_hi: int, k2s, theta: float = 1.0):
     k2 = np.asarray(k2s, dtype=float)
     if family not in (1, 2):
         raise InvalidMode(f"family must be 1 or 2, got {family!r}")
+    l_lo, l_hi = (_integer(l, "degree l", -math.inf) for l in (l_lo, l_hi))
     if l_lo > l_hi:
         raise InvalidMode(f"degree range {l_lo!r}..{l_hi!r} is empty")
     if k2.ndim != 1:
@@ -102,7 +79,7 @@ def eigen_grid(family: int, l_lo: int, l_hi: int, k2s, theta: float = 1.0):
     if not np.all(np.isfinite(k2)):
         raise InvalidMode(f"k2s must be finite, got {float(k2[~np.isfinite(k2)][0])!r}")
     _validate_eig_args(l_lo, 1.0)
-    _, theta = _validate_eig_args(l_hi, float(np.max(np.abs(k2), initial=0.0)) or 1.0, theta)
+    _, _, theta = _validate_eig_args(l_hi, float(np.max(np.abs(k2), initial=0.0)) or 1.0, theta)
     rho_k = _ratio_grid(l_lo, l_hi, k2)
     rho_q = rho_k if family == 2 or theta == 1.0 else _ratio_grid(l_lo, l_hi, k2 / theta)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
@@ -113,7 +90,7 @@ def eigen_grid(family: int, l_lo: int, l_hi: int, k2s, theta: float = 1.0):
 
 
 def _eigenvalue(family: int, l: int, k2: float, theta: float) -> float:
-    k2, theta = _validate_eig_args(l, k2, theta)
+    l, k2, theta = _validate_eig_args(l, k2, theta)
     try:
         rho_k = _ratio(l, k2)
         rho_q = rho_k if family == 2 or theta == 1.0 else _ratio(l, k2 / theta)

@@ -18,12 +18,13 @@ from __future__ import annotations
 
 import cmath
 import math
+import sys
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
 
-from .errors import DirichletResonance, DomainError, InvalidMode
-from .specfun import _j_and_deriv, sph_bessel_j_all
+from .errors import DirichletResonance, DomainError, NotRepresentable, _validate_eig_args
+from .specfun import _j_and_deriv
 
 __all__ = [
     "RadialKind",
@@ -181,9 +182,6 @@ class RadialFunction:
         )
         return RadialFunction(l=self.l, terms=terms)
 
-    def __sub__(self, other: "RadialFunction") -> "RadialFunction":
-        return self + other.scaled(-1.0)
-
 
 def bessel_operator(f: RadialFunction, k2: complex) -> RadialFunction:
     """Apply r^2 f'' + 2 r f' + (k^2 r^2 - l(l+1)) f exactly."""
@@ -237,17 +235,6 @@ class RadialPair:
         )
 
 
-def _validate_parameters(l: int, k2: float, theta: float) -> None:
-    if not isinstance(l, int) or isinstance(l, bool) or l < 1:
-        raise InvalidMode(f"degree l must be an integer >= 1, got {l!r}")
-    if isinstance(k2, complex) or not math.isfinite(float(k2)):
-        raise InvalidMode(f"k2 must be a finite real, got {k2!r}")
-    if float(k2) == 0.0:
-        raise InvalidMode("k2 = 0 is outside the eigenvalue formulas' domain")
-    if isinstance(theta, complex) or not (float(theta) > 0.0):
-        raise DomainError(f"theta must be positive, got {theta!r}")
-
-
 def _wavenumbers(k2: float, theta: float) -> tuple[complex, complex]:
     # k is the principal square root of k2 (purely imaginary for k2 < 0)
     k = cmath.sqrt(complex(k2, 0.0))
@@ -268,13 +255,13 @@ def radial_profiles(kind, l: int, k2: float, theta: float = 1.0) -> RadialPair:
                  a = -j_l'(q) q / (j_l(k) l(l+1)), which forces the
                  radial component to vanish at r = 1.
 
-    Raises DirichletResonance for kind=MATCHED when j_l(k) is too small
-    for the combination coefficient to be meaningful.
+    The arguments have the domain of `lambda1`.  Raises
+    DirichletResonance for kind=MATCHED when j_l(k) is too small for the
+    combination coefficient to be meaningful, and NotRepresentable when
+    j_l(k) or j_l'(q) is 0, subnormal or not finite.
     """
     kind = RadialKind(kind)
-    _validate_parameters(l, k2, theta)
-    k2 = float(k2)
-    theta = float(theta)
+    l, k2, theta = _validate_eig_args(l, k2, theta)
     k, q = _wavenumbers(k2, theta)
     big_l = l * (l + 1)
     root = math.sqrt(big_l)
@@ -295,17 +282,19 @@ def radial_profiles(kind, l: int, k2: float, theta: float = 1.0) -> RadialPair:
         return RadialPair(kind=kind, l=l, k2=k2, theta=theta, e1=zero, e2=e2, e3=e3)
 
     # MATCHED: combination coefficient divides by j_l(k)
-    tab = sph_bessel_j_all(l + 1, k)
-    jl_k = tab[l]
-    jl_k_prime = tab[l - 1] - (l + 1) / k * tab[l]
+    jl_k, jl_k_prime = _j_and_deriv(l, k)
+    jl_q_prime = _j_and_deriv(l, q)[1]
+    if not all(sys.float_info.min <= abs(v) < math.inf for v in (jl_k, jl_q_prime)):
+        raise NotRepresentable(
+            f"j_{l}(k) or j_{l}'(q) leaves the normal double range at k2 = {k2!r}, "
+            f"theta = {theta!r}; the matched combination is not representable"
+        )
     # Newton-step scale |j/j'|: fires only near an actual zero, never
     # in the small-argument regime where j and j' shrink together.
     if abs(jl_k) < 1e-12 * abs(k * jl_k_prime):
         raise DirichletResonance(
             f"j_{l}(k) vanishes at k2 = {k2!r}; the matched combination is undefined"
         )
-    tab_q = sph_bessel_j_all(l + 1, q)
-    jl_q_prime = tab_q[l - 1] - (l + 1) / q * tab_q[l]
     a = -jl_q_prime * q / (jl_k * big_l)
     solenoidal = radial_profiles(RadialKind.SOLENOIDAL, l, k2, theta)
     compressive = radial_profiles(RadialKind.COMPRESSIVE, l, k2, theta)

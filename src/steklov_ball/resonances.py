@@ -43,8 +43,7 @@ import math
 from dataclasses import dataclass
 from typing import Callable
 
-from .errors import DomainError, InvalidMode, ScanExhausted
-from .kernel import _K2_MAX, _L_MAX, _check_theta
+from .errors import _K2_MAX, _L_MAX, DomainError, InvalidMode, ScanExhausted, _integer, _positive
 from .specfun import _j_pair
 
 __all__ = [
@@ -202,29 +201,25 @@ def _roots(
     return _scan(magnetic, turning, hi, count)
 
 
-def _validate_counts(l: int, count: int, l_min: int) -> None:
-    if not isinstance(l, int) or isinstance(l, bool) or not l_min <= l <= _L_MAX:
-        raise InvalidMode(f"degree l must be an integer in [{l_min}, {_L_MAX}], got {l!r}")
-    if not isinstance(count, int) or isinstance(count, bool) or count < 1:
-        raise DomainError(f"count must be a positive integer, got {count!r}")
-    if count > 100:
-        raise DomainError(f"count must be <= 100, got {count}")
-
-
-def _check_query(k2: float, theta: float, l_max: int) -> tuple[float, float]:
+def _check_query(k2: float, theta: float, l_max: int) -> tuple[float, float, int]:
     """The arguments of exclusion_check and zero_in_spectrum: an integer
     l_max in 0..200, a positive finite theta and a real k^2 with |k^2|
     and |k^2/theta| at most 1e10, the eigenvalue kernel's bound (beyond
     about 1e31 a scan step would no longer advance the scan point)."""
-    if not isinstance(l_max, int) or isinstance(l_max, bool) or not 0 <= l_max <= _L_MAX:
-        raise InvalidMode(f"l_max must be an integer in [0, {_L_MAX}], got {l_max!r}")
-    theta = _check_theta(theta)
+    l_max = _integer(l_max, "l_max", 0, _L_MAX)
+    theta = _positive(theta, "theta")
     if isinstance(k2, complex) or not abs(float(k2)) <= _K2_MAX * min(1.0, theta):
         raise DomainError(f"k2 must be real with |k2| and |k2/theta| at most {_K2_MAX:g}, got {k2!r}")
-    return float(k2), theta
+    return float(k2), theta, l_max
 
 
-def _counted(kind: str, l: int, count: int, theta: float | None = None) -> RootList:
+def _counted(kind: str, l: int, count: int, theta: float | None = None, l_min: int = 1) -> RootList:
+    """The first `count` roots of one kind at degree l, after the degree
+    in [l_min, 200], the count in [1, 100] and theta are checked."""
+    l = _integer(l, "degree l", l_min, _L_MAX)
+    count = _integer(count, "count", 1, 100, DomainError)
+    if theta is not None:
+        theta = _positive(theta, "theta")
     hi = (count + l + 1) * math.pi + 20.0
     roots, residuals = _roots(kind, l, hi, count, 1.0 if theta is None else theta)
     return RootList(kind, l, theta, tuple(roots), tuple(residuals))
@@ -232,14 +227,12 @@ def _counted(kind: str, l: int, count: int, theta: float | None = None) -> RootL
 
 def bessel_zeros(l: int, count: int) -> RootList:
     """First `count` positive zeros of j_l."""
-    _validate_counts(l, count, l_min=0)
-    return _counted("bessel", l, count)
+    return _counted("bessel", l, count, l_min=0)
 
 
 def neumann_zeros(l: int, count: int) -> RootList:
     """First `count` positive zeros of j_l'.  Their squares are Neumann
     eigenvalues of the ball Laplacian at this degree."""
-    _validate_counts(l, count, l_min=1)
     return _counted("neumann", l, count)
 
 
@@ -247,7 +240,6 @@ def magnetic_zeros(l: int, count: int) -> RootList:
     """First `count` positive zeros of x -> j_l(x) + x j_l'(x), the
     boundary combination whose vanishing makes the family-2 eigenvalue
     zero."""
-    _validate_counts(l, count, l_min=1)
     return _counted("magnetic", l, count)
 
 
@@ -259,8 +251,7 @@ def family1_resonances(l: int, theta: float, count: int) -> RootList:
     noise, not sign changes.  Roots at which j_l(k) itself vanishes are
     deflated away.
     """
-    _validate_counts(l, count, l_min=1)
-    return _counted("family1", l, count, _check_theta(theta))
+    return _counted("family1", l, count, theta)
 
 
 def exclusion_check(k2: float, theta: float, l_max: int) -> tuple[bool, float]:
@@ -275,7 +266,7 @@ def exclusion_check(k2: float, theta: float, l_max: int) -> tuple[bool, float]:
     vector families start at l = 1, so l_max = 0 means there is nothing
     to collide with and the result is (True, inf).
     """
-    k2, theta = _check_query(k2, theta, l_max)
+    k2, theta, l_max = _check_query(k2, theta, l_max)
     if k2 == 0.0:
         raise InvalidMode("k2 must be nonzero")
     ceiling = math.sqrt(max(k2, 0.0)) + math.pi + 1.0
@@ -312,7 +303,7 @@ def zero_in_spectrum(
     some degree l <= l_max.  Matching tolerance: 1e-8 on k^2.  For
     k^2 <= 0 the answer is False (both auxiliary spectra are positive).
     """
-    k2, theta = _check_query(k2, theta, l_max)
+    k2, theta, l_max = _check_query(k2, theta, l_max)
     witnesses: list[SpectrumWitness] = []
     if k2 <= 0.0:
         return False, witnesses

@@ -16,8 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, NotRepresentable
-from .kernel import _L_MAX
+from .errors import _L_MAX, DomainError, NotRepresentable, _integer
 
 __all__ = [
     "sph_bessel_j_all",
@@ -31,13 +30,6 @@ __all__ = [
 # sin/cos overflow on the imaginary axis around |Im z| ~ 709; refuse a
 # little earlier so the seeds j_0, j_1 are always finite.
 _IM_MAX = 700.0
-
-
-def _validate_order(l: int) -> None:
-    if not isinstance(l, (int, np.integer)) or isinstance(l, bool):
-        raise DomainError(f"order must be an integer, got {l!r}")
-    if l < 0 or l > _L_MAX:
-        raise DomainError(f"order must satisfy 0 <= l <= {_L_MAX}, got {l}")
 
 
 def _j0_j1(z: complex) -> tuple[complex, complex]:
@@ -144,7 +136,7 @@ def sph_bessel_j_all(l: int, z: complex) -> np.ndarray:
         (also an OverflowError) For every |Im z| > 700, where sin z and
         cos z near the top of double range.
     """
-    _validate_order(l)
+    l = _integer(l, "order l", 0, _L_MAX, DomainError)
     z = complex(z)
     if not (math.isfinite(z.real) and math.isfinite(z.imag)):
         raise DomainError(f"argument must be finite, got {z!r}")
@@ -176,7 +168,7 @@ def sph_bessel_j_deriv(l: int, z: complex) -> complex:
     Uses j_l' = j_{l-1} - (l+1)/z j_l (and j_0' = -j_1), which keeps
     the evaluation on the same stable table as the values themselves.
     """
-    _validate_order(l)
+    l = _integer(l, "order l", 0, _L_MAX, DomainError)
     z = complex(z)
     if z == 0:
         # j_l ~ z^l / (2l+1)!!, so only l = 1 has a nonzero slope at 0.
@@ -184,12 +176,16 @@ def sph_bessel_j_deriv(l: int, z: complex) -> complex:
     return _j_and_deriv(l, z)[1]
 
 
+def _j_deriv(tab: np.ndarray, m: int, z: complex) -> complex:
+    # j_m'(z) from a tower of j_0(z) .. j_max(m, 1)(z), z != 0:
+    # j_m' = j_{m-1} - (m+1)/z j_m, and j_0' = -j_1.
+    return -tab[1] if m == 0 else tab[m - 1] - (m + 1) / z * tab[m]
+
+
 def _j_pair(l: int, z: complex) -> tuple[complex, complex]:
     # (j_l(z), j_l'(z)) for z != 0 from one tower.
     tab = sph_bessel_j_all(max(l, 1), z)
-    if l == 0:
-        return complex(tab[0]), complex(-tab[1])
-    return complex(tab[l]), complex(tab[l - 1] - (l + 1) / z * tab[l])
+    return complex(tab[l]), complex(_j_deriv(tab, l, z))
 
 
 # Cached because the radial algebra evaluates a profile and all its
@@ -201,17 +197,6 @@ _j_and_deriv = functools.lru_cache(maxsize=4096)(_j_pair)
 # ----------------------------------------------------------------------
 # Associated Legendre functions
 # ----------------------------------------------------------------------
-
-
-def _validate_degree_order(l: int, m: int) -> None:
-    if not isinstance(l, (int, np.integer)) or isinstance(l, bool):
-        raise DomainError(f"degree must be an integer, got {l!r}")
-    if not isinstance(m, (int, np.integer)) or isinstance(m, bool):
-        raise DomainError(f"order must be an integer, got {m!r}")
-    if not (0 <= m <= l <= _L_MAX):
-        raise DomainError(
-            f"need 0 <= m <= l <= {_L_MAX}, got l = {l}, m = {m}"
-        )
 
 
 def _pow(s: np.ndarray, m: int) -> np.ndarray:
@@ -256,7 +241,8 @@ def assoc_legendre_tower(
     double range (orders m above about 150) raise NotRepresentable, an
     OverflowError.
     """
-    _validate_degree_order(l_max, m)
+    l_max = _integer(l_max, "degree l_max", 0, _L_MAX, DomainError)
+    m = _integer(m, "order m", 0, l_max, DomainError)
     if np.iscomplexobj(x):
         raise DomainError(f"argument must be real, got {x!r}")
     x = np.asarray(x, dtype=float)
@@ -352,11 +338,7 @@ def gauss_legendre(count: int) -> QuadratureRule:
     Each order is built once per process: repeated calls return the same
     rule, whose ``nodes`` and ``weights`` are read-only.
     """
-    if not isinstance(count, (int, np.integer)) or isinstance(count, bool):
-        raise DomainError(f"count must be an integer, got {count!r}")
-    if not (1 <= count <= 4096):
-        raise DomainError(f"count must be in [1, 4096], got {count}")
-    return _gauss_legendre(int(count))
+    return _gauss_legendre(_integer(count, "count", 1, 4096, DomainError))
 
 
 # Behind the validation, so that every bad count still raises DomainError

@@ -30,12 +30,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
+    _L_MAX,
     DirichletResonance,
     DomainError,
     InvalidMode,
     NonRealEigenvalue,
     NotRepresentable,
     QuadratureTooCoarse,
+    _integer,
+    _validate_eig_args,
 )
 from .harmonics import (
     BallPoint,
@@ -48,9 +51,9 @@ from .harmonics import (
     surface_quadrature,
     vector_A,
 )
-from .kernel import _L_MAX, _validate_eig_args, lambda1, lambda2
+from .kernel import lambda1, lambda2
 from .radial import RadialFunction, RadialKind, RadialPair, bessel_operator, radial_profiles
-from .specfun import gauss_legendre, sph_bessel_j_all
+from .specfun import _j_deriv, gauss_legendre, sph_bessel_j_all
 
 __all__ = [
     "lambda1_theta1_alt",
@@ -81,9 +84,7 @@ def lambda1_theta1_alt(l: int, k2: float) -> float:
     DomainError, and beyond |Im k| = 700 the tower raises
     NotRepresentable.
     """
-    if not isinstance(l, int) or isinstance(l, bool) or not 1 <= l < _L_MAX:
-        raise InvalidMode(f"degree l must be an integer in [1, {_L_MAX - 1}], got {l!r}")
-    k2, _ = _validate_eig_args(l, k2)
+    l, k2, _ = _validate_eig_args(_integer(l, "degree l", 1, _L_MAX - 1), k2)
     k = cmath.sqrt(complex(k2, 0.0))
     tab = sph_bessel_j_all(l + 1, k)
     if not all(sys.float_info.min <= abs(tab[m]) < math.inf for m in (l - 1, l, l + 1)):
@@ -91,17 +92,14 @@ def lambda1_theta1_alt(l: int, k2: float) -> float:
             f"j_{l - 1}, j_{l} or j_{l + 1} leaves the normal double range at k2 = {k2}; "
             "eigenvalue not representable"
         )
-    jl_p = tab[l - 1] - (l + 1) / k * tab[l]
     # Per-factor Newton-step guards, as in the direct form: each factor
     # is near one of its zeros iff |j_m| is small against |k j_m'|.
-    up_p = tab[l] - (l + 2) / k * tab[l + 1]
-    down_p = -tab[1] if l == 1 else tab[l - 2] - l / k * tab[l - 1]
-    for jm, jm_p in ((tab[l + 1], up_p), (tab[l - 1], down_p)):
-        if abs(jm) < 1e-12 * abs(k * jm_p):
+    for m in (l + 1, l - 1):
+        if abs(tab[m]) < 1e-12 * abs(k * _j_deriv(tab, m, k)):
             raise DirichletResonance(
                 f"j_{l + 1}(k) j_{l - 1}(k) vanishes at k2 = {k2}"
             )
-    value = -k * (tab[l] / tab[l + 1]) * (jl_p / tab[l - 1])
+    value = -k * (tab[l] / tab[l + 1]) * (_j_deriv(tab, l, k) / tab[l - 1])
     if abs(value.imag) > 1e-10 * (1.0 + abs(value.real)):
         raise NonRealEigenvalue(
             f"lambda1_theta1_alt = {value!r} has a non-negligible imaginary part"
@@ -251,6 +249,7 @@ def residual_fourth_order(l: int, k2: float, r: float, e3: RadialFunction) -> fl
     Valid for the theta = 1 families; all four derivative orders are
     taken analytically through the radial algebra.
     """
+    l = _integer(l, "degree l", 1, _L_MAX)
     if e3.l != l:
         raise InvalidMode(f"radial function has degree {e3.l}, expected {l}")
     big_l = l * (l + 1)

@@ -20,10 +20,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import classical, fd, harmonics, kernel, resonances, spectrum
-from .errors import DirichletResonance, DomainError, InvalidMode
+from .errors import _L_MAX, DirichletResonance, InvalidMode, _integer, _positive
 from .harmonics import BallPoint, ModeIndex, SurfacePoint
 from .radial import RadialKind, radial_profiles
-from .specfun import _L_MAX, sph_bessel_j, sph_bessel_j_deriv
+from .specfun import sph_bessel_j, sph_bessel_j_deriv
 
 __all__ = ["Check", "VerifyReport", "SUITE_NAMES", "run_suites", "sample_modes"]
 
@@ -409,11 +409,9 @@ def run_suites(
         if unknown:
             raise InvalidMode(f"unknown suites: {unknown}; available: {list(SUITE_NAMES)}")
         names = list(suites)
-    if l_max is not None and (type(l_max) is not int or not 1 <= l_max <= _L_MAX):
-        raise InvalidMode(f"l_max must be an integer in [1, {_L_MAX}], got {l_max!r}")
-    if isinstance(tol_scale, complex) or not 0.0 < float(tol_scale) < math.inf:
-        raise DomainError(f"tol_scale must be positive and finite, got {tol_scale!r}")
-    ctx = _Context(l_max=l_max, tol_scale=float(tol_scale))
+    if l_max is not None:
+        l_max = _integer(l_max, "l_max", 1, _L_MAX)
+    ctx = _Context(l_max=l_max, tol_scale=_positive(tol_scale, "tol_scale"))
     checks: list[Check] = []
     for name in names:
         checks.extend(SUITES[name](ctx))

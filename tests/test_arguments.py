@@ -1,0 +1,106 @@
+"""One argument policy at every entry point: an integer argument (a
+degree, order, count or dimension) takes a Python or numpy integer and
+gives the same result for both; a bool, a float or a string is refused
+with the site's typed error, which quotes the value."""
+
+from __future__ import annotations
+
+import pickle
+import re
+
+import numpy as np
+import pytest
+
+from steklov_ball import (
+    DomainError,
+    InvalidMode,
+    ModeIndex,
+    RadialKind,
+    ball_steklov_spectrum,
+    bessel_zeros,
+    enumerate_modes,
+    exclusion_check,
+    family1_resonances,
+    gauss_legendre,
+    gram_matrix,
+    harmonic_polynomial_dimension,
+    lambda1,
+    lambda1_theta1_alt,
+    lambda2,
+    magnetic_zeros,
+    multiplicity,
+    neumann_zeros,
+    radial_profiles,
+    residual_fourth_order,
+    run_suites,
+    sph_bessel_j,
+    sph_bessel_j_all,
+    sph_bessel_j_deriv,
+    steklov_mode,
+    surface_quadrature,
+    weyl_exponent_fit,
+    zero_in_spectrum,
+)
+from steklov_ball.kernel import eigen_grid
+from steklov_ball.specfun import assoc_legendre_tower
+
+E3 = radial_profiles(RadialKind.MATCHED, 2, 3.0).e3
+
+# name -> (call with the integer argument, a valid value, the error type)
+CASES = {
+    "lambda1": (lambda v: lambda1(v, 3.0, 0.5), 3, InvalidMode),
+    "lambda2": (lambda v: lambda2(v, 3.0), 3, InvalidMode),
+    "eigen_grid.l_lo": (lambda v: eigen_grid(1, v, 4, [-2.0, 3.0], 0.5), 2, InvalidMode),
+    "eigen_grid.l_hi": (lambda v: eigen_grid(2, 1, v, [-2.0, 3.0]), 3, InvalidMode),
+    "sph_bessel_j_all": (lambda v: sph_bessel_j_all(v, 1.5 + 0.5j), 3, DomainError),
+    "sph_bessel_j": (lambda v: sph_bessel_j(v, 1.5), 3, DomainError),
+    "sph_bessel_j_deriv": (lambda v: sph_bessel_j_deriv(v, 1.5), 3, DomainError),
+    "assoc_legendre_tower.m": (lambda v: assoc_legendre_tower(v, 5, 0.3), 2, DomainError),
+    "assoc_legendre_tower.l_max": (lambda v: assoc_legendre_tower(1, v, 0.3), 4, DomainError),
+    "gauss_legendre": (lambda v: gauss_legendre(v), 7, DomainError),
+    "ModeIndex.m": (lambda v: ModeIndex("even", v, 3), 2, InvalidMode),
+    "ModeIndex.l": (lambda v: ModeIndex("even", 0, v), 3, InvalidMode),
+    "enumerate_modes": (lambda v: enumerate_modes(v), 3, InvalidMode),
+    "surface_quadrature": (lambda v: surface_quadrature(v), 3, InvalidMode),
+    "gram_matrix": (lambda v: gram_matrix(v), 2, InvalidMode),
+    "radial_profiles": (lambda v: radial_profiles(RadialKind.MATCHED, v, 3.0, 0.5), 3, InvalidMode),
+    "bessel_zeros.l": (lambda v: bessel_zeros(v, 2), 3, InvalidMode),
+    "bessel_zeros.count": (lambda v: bessel_zeros(2, v), 2, DomainError),
+    "neumann_zeros.l": (lambda v: neumann_zeros(v, 2), 3, InvalidMode),
+    "neumann_zeros.count": (lambda v: neumann_zeros(2, v), 2, DomainError),
+    "magnetic_zeros.l": (lambda v: magnetic_zeros(v, 2), 3, InvalidMode),
+    "magnetic_zeros.count": (lambda v: magnetic_zeros(2, v), 2, DomainError),
+    "family1_resonances.l": (lambda v: family1_resonances(v, 0.5, 2), 3, InvalidMode),
+    "family1_resonances.count": (lambda v: family1_resonances(2, 0.5, v), 2, DomainError),
+    "exclusion_check": (lambda v: exclusion_check(30.0, 0.5, v), 3, InvalidMode),
+    "zero_in_spectrum": (lambda v: zero_in_spectrum(30.0, 0.5, v), 3, InvalidMode),
+    "lambda1_theta1_alt": (lambda v: lambda1_theta1_alt(v, 3.0), 3, InvalidMode),
+    "residual_fourth_order": (lambda v: residual_fourth_order(v, 3.0, 0.5, E3), 2, InvalidMode),
+    "multiplicity.n": (lambda v: multiplicity(v, 4), 3, InvalidMode),
+    "multiplicity.j": (lambda v: multiplicity(3, v), 4, InvalidMode),
+    "harmonic_polynomial_dimension.n": (lambda v: harmonic_polynomial_dimension(v, 4), 3, InvalidMode),
+    "harmonic_polynomial_dimension.j": (lambda v: harmonic_polynomial_dimension(3, v), 4, InvalidMode),
+    "ball_steklov_spectrum.n": (lambda v: ball_steklov_spectrum(v, 1.0, 20), 3, InvalidMode),
+    "ball_steklov_spectrum.count": (lambda v: ball_steklov_spectrum(3, 1.0, v), 20, DomainError),
+    "weyl_exponent_fit.n": (lambda v: weyl_exponent_fit(v, 1000), 3, InvalidMode),
+    "weyl_exponent_fit.count": (lambda v: weyl_exponent_fit(3, v), 1000, DomainError),
+    "run_suites": (lambda v: run_suites(["zero-spectrum"], l_max=v), 2, InvalidMode),
+}
+
+
+@pytest.mark.parametrize("name", CASES)
+def test_degree_arguments_are_integers(name):
+    call, good, error = CASES[name]
+    # Same result, bit for bit and type for type, from a numpy integer.
+    assert pickle.dumps(call(np.int64(good))) == pickle.dumps(call(good))
+    for bad in (True, 2.5, "3"):
+        with pytest.raises(error, match=f"got {re.escape(repr(bad))}$"):
+            call(bad)
+
+
+def test_numpy_integers_are_stored_as_int():
+    mode = ModeIndex("even", np.int64(0), np.int64(2))
+    assert type(mode.l) is int and type(mode.m) is int
+    assert mode == ModeIndex("even", 0, 2)
+    assert steklov_mode(1, ModeIndex("even", np.int64(0), np.int64(1)), 1.0).n.l == 1
+    assert type(bessel_zeros(np.int64(2), 1).l) is int

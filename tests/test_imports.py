@@ -2,8 +2,9 @@
 classical, errors) loads no verification module, neither on import nor
 when the root queries run, a sweep process loads
 only what it runs, the package's public names resolve lazily without
-being cached and are each used by the package itself, and only the CLI
-sets a process default in os.environ."""
+being cached and are each used by the package itself, only the kernel
+and the root scans name a private kernel member, and only the CLI sets a
+process default in os.environ."""
 
 from __future__ import annotations
 
@@ -104,6 +105,22 @@ def test_every_public_name_is_used_by_the_package():
         for name in getattr(getattr(steklov_ball, module), "__all__", ()):
             exported.setdefault(name, f"{module}.{name}")
     assert sorted(label for name, label in exported.items() if name not in used) == []
+
+
+def test_only_the_kernel_and_root_scans_name_private_kernel_members():
+    # The verification layer checks the kernel through its public names
+    # only; `resonances` may share the kernel's private machinery.
+    found = []
+    for path in pathlib.Path(steklov_ball.__file__).parent.glob("*.py"):
+        if path.stem in ("kernel", "resonances"):
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom) and node.module in ("kernel", "steklov_ball.kernel"):
+                found += [f"{path.stem}: {a.name}" for a in node.names if a.name.startswith("_")]
+            elif isinstance(node, ast.Attribute) and node.attr.startswith("_"):
+                if isinstance(node.value, ast.Name) and node.value.id == "kernel":
+                    found.append(f"{path.stem}: kernel.{node.attr}")
+    assert found == []
 
 
 def test_public_names_are_not_cached(monkeypatch):

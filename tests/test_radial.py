@@ -178,3 +178,17 @@ def test_radial_profiles_validation():
         radial_profiles(RadialKind.TOROIDAL, 1, 0.0)
     with pytest.raises(DomainError):
         radial_profiles(RadialKind.COMPRESSIVE, 1, 1.0, -2.0)
+
+
+def test_radial_profiles_take_the_eigenvalue_domain():
+    # The domain of lambda1, refused up front rather than deep inside a
+    # tower or with a misleading message.
+    for kind in RadialKind:
+        with pytest.raises(InvalidMode, match=r"in \[1, 200\], got 250$"):
+            radial_profiles(kind, 250, 1.0)
+        with pytest.raises(DomainError, match="at most 1e"):
+            radial_profiles(kind, 2, 1e12)
+        with pytest.raises(DomainError, match="at most 1e"):
+            radial_profiles(kind, 2, 1e6, 1e-5)
+        with pytest.raises(DomainError, match="^theta must be positive and finite, got inf$"):
+            radial_profiles(kind, 2, 1.0, math.inf)

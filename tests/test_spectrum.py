@@ -364,18 +364,36 @@ def test_eigenfields_are_real_for_negative_k2():
 def test_eigenfield_checks_refuse_an_underflowed_mode():
     # Family 2 at l = 200, k^2 = 0.3: e1 is exactly 0 at r = 1 and at
     # r = 0.5, so each check would compare 0 with 0 and pass vacuously.
-    # Family 1 at l = 150, k^2 = 1: every weak-form term is 0.
+    # Family 1 at l = 140, k^2 = 1: every weak-form term is 0.  At l = 150
+    # j_l(1) itself is subnormal, so the mode is refused when it is built.
     mode = steklov_mode(2, ModeIndex("even", 0, 200), 0.3)
     checks = (
         lambda: verify_steklov_bc(mode, SURFACE_POINTS[0]),
         lambda: verify_weak_identity(mode),
         lambda: residual_system(mode.radial, 1.0),
         lambda: residual_system(mode.radial, 0.5),
-        lambda: verify_weak_identity(steklov_mode(1, ModeIndex("even", 0, 150), 1.0)),
+        lambda: verify_weak_identity(steklov_mode(1, ModeIndex("even", 0, 140), 1.0)),
     )
     for check in checks:
         with pytest.raises(NotRepresentable, match="underflows to 0"):
             check()
+    with pytest.raises(NotRepresentable, match="not representable"):
+        steklov_mode(1, ModeIndex("even", 0, 150), 1.0)
+
+
+def test_family1_modes_reach_degree_200():
+    # The matched profiles read j_l and j_l' of degree l only, so the top
+    # degree builds; where j_l(k) underflows (l = 199, k^2 = 1) the mode
+    # is refused without a 0/0 warning instead of holding NaN.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for l in (199, 200):
+            mode = steklov_mode(1, ModeIndex("even", 0, l), 1e4)
+            assert mode.eigenvalue == lambda1(l, 1e4)
+            assert max(residual_system(mode.radial, 0.7)) < 1e-13
+            assert verify_steklov_bc(mode, SURFACE_POINTS[0]) < 1e-13
+            with pytest.raises(NotRepresentable, match="not representable"):
+                steklov_mode(1, ModeIndex("even", 0, l), 1.0)
 
 
 def test_eigenfield_checks_refuse_an_overflowed_mode():
