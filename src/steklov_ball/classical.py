@@ -26,6 +26,9 @@ __all__ = [
 ]
 
 _MAX_FLATTENED = 10**6
+# The largest dimension n: `multiplicity` runs n - 3 big-integer steps
+# per degree, so an unbounded n could keep one call busy for minutes.
+_MAX_DIM = 10**4
 
 
 def multiplicity(n: int, j: int) -> int:
@@ -38,7 +41,7 @@ def multiplicity(n: int, j: int) -> int:
     division even at j = 10^4, n = 6.
     """
     j = _integer(j, "index j", 0)
-    n = _integer(n, "dimension", 2)
+    n = _integer(n, "dimension", 2, _MAX_DIM)
     if j == 0:
         return 1
     if n == 2:
@@ -53,7 +56,7 @@ def harmonic_polynomial_dimension(n: int, j: int) -> int:
     """Dimension of the space of harmonic homogeneous polynomials of
     degree j in n variables: C(n+j-1, j) - C(n+j-3, j-2)."""
     j = _integer(j, "degree j", 0)
-    n = _integer(n, "dimension", 2)
+    n = _integer(n, "dimension", 2, _MAX_DIM)
     first = math.comb(n + j - 1, j)
     second = math.comb(n + j - 3, j - 2) if j >= 2 else 0
     return first - second
@@ -90,7 +93,7 @@ class ScalarSpectrum:
 def ball_steklov_spectrum(n: int, radius: float = 1.0, count: int = 100) -> ScalarSpectrum:
     """First `count` (flattened) Steklov eigenvalues of the n-ball of
     the given radius, grouped by degree with multiplicities."""
-    n = _integer(n, "dimension", 2)
+    n = _integer(n, "dimension", 2, _MAX_DIM)
     radius = _positive(radius, "radius")
     count = _integer(count, "count", 1, _MAX_FLATTENED, DomainError)
     entries = []

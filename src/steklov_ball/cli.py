@@ -145,7 +145,7 @@ _OPTIONS: dict[str, dict[str, dict]] = {
         **_COMMON,
     },
     "classical": {
-        "--dim": dict(type=_parse_int, default=3, help="ambient dimension n >= 2"),
+        "--dim": dict(type=_parse_int, default=3, help="ambient dimension n, 2..10000"),
         "--radius": dict(type=_parse_real, default=1.0, help="ball radius"),
         "--count": dict(type=_parse_int, default=25, help="flattened eigenvalue count"),
         **_COMMON,

@@ -6,8 +6,8 @@ callers can keep catching ``ValueError`` / ``ArithmeticError`` /
 ``RuntimeError`` if they prefer.
 
 It also holds the one argument policy every entry point applies: the
-integer and positive-real rules, the (l, k^2, theta) domain of the
-eigenvalues and its bounds.
+integer, selector and positive-real rules, the (l, k^2, theta) domain
+of the eigenvalues and its bounds.
 """
 
 import math
@@ -78,6 +78,19 @@ def _integer(value, name: str, lo: float, hi: float = math.inf, error: type = In
     return number
 
 
+def _choice(value, name: str, allowed: tuple[int, ...]) -> int:
+    """A family or tau selector as a plain int: a Python or numpy integer,
+    not a bool, in `allowed`; anything else raises InvalidMode."""
+    try:
+        number = None if isinstance(value, bool) else operator.index(value)
+    except TypeError:
+        number = None
+    if number not in allowed:
+        options = ", ".join(map(str, allowed[:-1])) + f" or {allowed[-1]}"
+        raise InvalidMode(f"{name} must be {options}, got {value!r}")
+    return number
+
+
 def _positive(value, name: str, error: type = DomainError) -> float:
     """`value` as a float in (0, inf); complex numbers and anything that
     float() refuses raise `error`."""
@@ -88,6 +101,12 @@ def _positive(value, name: str, error: type = DomainError) -> float:
     if not 0.0 < number < math.inf:
         raise error(f"{name} must be positive and finite, got {value!r}")
     return number
+
+
+def _k2_within(k2: float, theta: float) -> bool:
+    """The one k^2 bound, for the eigenvalues and the root queries alike:
+    |k^2| and |k^2/theta| at most 1e10 (NaN is outside)."""
+    return max(abs(k2), abs(k2) / theta) <= _K2_MAX
 
 
 def _validate_eig_args(l, k2, theta=1.0) -> tuple[int, float, float]:
@@ -101,6 +120,6 @@ def _validate_eig_args(l, k2, theta=1.0) -> tuple[int, float, float]:
     if not math.isfinite(k2) or k2 == 0.0:
         raise InvalidMode(f"k2 must be finite and nonzero, got {k2!r}")
     theta = _positive(theta, "theta")
-    if max(abs(k2), abs(k2) / theta) > _K2_MAX:
+    if not _k2_within(k2, theta):
         raise DomainError(f"|k2| and |k2/theta| must be at most {_K2_MAX:g}, got {k2!r}, {theta!r}")
     return l, k2, theta

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import fd
-from .errors import _L_MAX, DomainError, InvalidMode, StepTooLarge, _integer, _positive
+from .errors import _L_MAX, DomainError, InvalidMode, StepTooLarge, _choice, _integer, _positive
 from .specfun import assoc_legendre_tower, gauss_legendre
 
 __all__ = [
@@ -230,11 +230,11 @@ def _angular_derivatives(n: ModeIndex, p: SurfacePoint) -> tuple[float, float, f
     return _angular(n, [t[n.l] for t in tower], p.phi)
 
 
-def _validate_tau(tau: int, n: ModeIndex) -> None:
-    if tau not in (1, 2, 3):
-        raise InvalidMode(f"tau must be 1, 2 or 3, got {tau!r}")
+def _validate_tau(tau: int, n: ModeIndex) -> int:
+    tau = _choice(tau, "tau", (1, 2, 3))
     if tau in (1, 2) and n.l == 0:
         raise InvalidMode("tangential harmonics vanish for l = 0")
+    return tau
 
 
 def _components(tau: int, l: int, y, a, b) -> tuple:
@@ -250,7 +250,7 @@ def _components(tau: int, l: int, y, a, b) -> tuple:
 
 def vector_A(tau: int, n: ModeIndex, p: SurfacePoint) -> Vec3:
     """Vector spherical harmonic A_{tau n} at a surface point."""
-    _validate_tau(tau, n)
+    tau = _validate_tau(tau, n)
     return Vec3(*_components(tau, n.l, *_angular_derivatives(n, p)))
 
 
@@ -278,7 +278,7 @@ def check_vector_laplacian(tau: int, n: ModeIndex, p: BallPoint, h: float) -> fl
     f = 1 for tau = 3.  The Cartesian Laplacian uses plain second-order
     stencils, so the residual decreases like h^2.
     """
-    _validate_tau(tau, n)
+    tau = _validate_tau(tau, n)
     h = _positive(h, "h")
     if h > p.r / 4.0:
         raise StepTooLarge(f"h = {h!r} exceeds r/4 = {p.r / 4.0!r}")

@@ -13,7 +13,7 @@ import math
 
 import numpy as np
 
-from .errors import _L_MAX, DirichletResonance, InvalidMode, _integer, _validate_eig_args
+from .errors import _L_MAX, DirichletResonance, InvalidMode, _choice, _integer, _validate_eig_args
 
 __all__ = ["eigen_grid", "lambda1", "lambda2"]
 
@@ -69,8 +69,7 @@ def eigen_grid(family: int, l_lo: int, l_hi: int, k2s, theta: float = 1.0):
     a cell equals lambda1/lambda2 bit for bit, in any grid.
     """
     k2 = np.asarray(k2s, dtype=float)
-    if family not in (1, 2):
-        raise InvalidMode(f"family must be 1 or 2, got {family!r}")
+    family = _choice(family, "family", (1, 2))
     l_lo, l_hi = (_integer(l, "degree l", -math.inf) for l in (l_lo, l_hi))
     if l_lo > l_hi:
         raise InvalidMode(f"degree range {l_lo!r}..{l_hi!r} is empty")

@@ -43,7 +43,7 @@ import math
 from dataclasses import dataclass
 from typing import Callable
 
-from .errors import _K2_MAX, _L_MAX, DomainError, InvalidMode, ScanExhausted, _integer, _positive
+from .errors import _K2_MAX, _L_MAX, DomainError, InvalidMode, ScanExhausted, _integer, _k2_within, _positive
 from .specfun import _j_pair
 
 __all__ = [
@@ -204,11 +204,12 @@ def _roots(
 def _check_query(k2: float, theta: float, l_max: int) -> tuple[float, float, int]:
     """The arguments of exclusion_check and zero_in_spectrum: an integer
     l_max in 0..200, a positive finite theta and a real k^2 with |k^2|
-    and |k^2/theta| at most 1e10, the eigenvalue kernel's bound (beyond
-    about 1e31 a scan step would no longer advance the scan point)."""
+    and |k^2/theta| at most 1e10, the eigenvalue kernel's bound, tested
+    by the same predicate (beyond about 1e31 a scan step would no longer
+    advance the scan point)."""
     l_max = _integer(l_max, "l_max", 0, _L_MAX)
     theta = _positive(theta, "theta")
-    if isinstance(k2, complex) or not abs(float(k2)) <= _K2_MAX * min(1.0, theta):
+    if isinstance(k2, complex) or not _k2_within(float(k2), theta):
         raise DomainError(f"k2 must be real with |k2| and |k2/theta| at most {_K2_MAX:g}, got {k2!r}")
     return float(k2), theta, l_max
 

@@ -13,6 +13,10 @@ Two explicit eigenvalue families exist for every degree l >= 1:
 * family 2 polarizes along the curl-type harmonic (A_1) and is
   divergence-free.
 
+Every check reads a mode as E = e1(r) A_1 + e2(r) A_2 + e3(r) A_3, with
+the zero function in the slots its family leaves empty, so one code path
+serves both families.
+
 This module is verification only.  The eigenvalues of the modes come
 from the production kernel (`kernel.lambda1`/`lambda2`), and the root
 queries live in `resonances`; the product form lambda1_theta1_alt and
@@ -37,6 +41,7 @@ from .errors import (
     NonRealEigenvalue,
     NotRepresentable,
     QuadratureTooCoarse,
+    _choice,
     _integer,
     _validate_eig_args,
 )
@@ -129,8 +134,7 @@ class SteklovMode:
     radial: RadialPair
 
     def __post_init__(self) -> None:
-        if self.family not in (1, 2):
-            raise InvalidMode(f"family must be 1 or 2, got {self.family!r}")
+        object.__setattr__(self, "family", _choice(self.family, "family", (1, 2)))
         if self.n.l < 1:
             raise InvalidMode("Steklov modes require l >= 1")
 
@@ -144,21 +148,18 @@ def _phase(l: int, k2: float) -> complex:
 def steklov_mode(family: int, n: ModeIndex, k2: float, theta: float = 1.0) -> SteklovMode:
     """Construct the explicit eigenmode of one family at one harmonic
     mode: eigenvalue plus phase-normalized radial profiles."""
+    family = _choice(family, "family", (1, 2))
     if family == 1:
-        lam = lambda1(n.l, k2, theta)
-        pair = radial_profiles(RadialKind.MATCHED, n.l, k2, theta)
-    elif family == 2:
-        lam = lambda2(n.l, k2)
-        pair = radial_profiles(RadialKind.TOROIDAL, n.l, k2, theta)
+        lam, kind = lambda1(n.l, k2, theta), RadialKind.MATCHED
     else:
-        raise InvalidMode(f"family must be 1 or 2, got {family!r}")
+        lam, kind = lambda2(n.l, k2), RadialKind.TOROIDAL
     return SteklovMode(
         family=family,
         n=n,
         k2=float(k2),
         theta=float(theta),
         eigenvalue=lam,
-        radial=pair.scaled(_phase(n.l, float(k2))),
+        radial=radial_profiles(kind, n.l, k2, theta).scaled(_phase(n.l, float(k2))),
     )
 
 
@@ -174,14 +175,17 @@ def _field_real(value: complex, scale: float, what: str) -> float:
 
 
 def _checked_scale(terms, what: str) -> float:
-    # The largest |term|.  A check whose terms are all 0 (underflow) or
+    # The largest |term|.  A check whose terms are all 0 (underflow), whose
+    # largest term is subnormal (its digits are gone) or whose terms are
     # not all finite (overflow) compares nothing, so it raises instead of
-    # passing vacuously or returning NaN.
+    # passing vacuously, losing digits silently or returning NaN.
     if not all(cmath.isfinite(t) for t in terms):
         raise NotRepresentable(f"{what}: a term leaves double range; nothing can be checked")
     scale = max(abs(t) for t in terms)
     if scale == 0.0:
         raise NotRepresentable(f"{what}: every term underflows to 0; nothing can be checked")
+    if scale < sys.float_info.min:
+        raise NotRepresentable(f"{what}: the largest term {scale:.1e} is subnormal; nothing can be checked")
     return scale
 
 
@@ -260,21 +264,15 @@ def residual_fourth_order(l: int, k2: float, r: float, e3: RadialFunction) -> fl
 
 
 def divergence_field(mode: SteklovMode, p: BallPoint) -> float:
-    """Pointwise divergence of the eigenfield.
-
-    Family 2 is divergence-free by construction and returns exactly 0;
-    family 1 returns Phi(r) Y_n(xi), the modal divergence coefficient
-    times the scalar harmonic.
+    """Pointwise divergence of the eigenfield, Phi(r) Y_n(xi): the modal
+    divergence coefficient times the scalar harmonic.  Phi is the zero
+    function for a toroidal pair, so family 2 returns 0; as in
+    `eigenfield`, a zero coefficient needs no harmonic.
     """
-    if mode.family == 2:
-        return 0.0
-    value = mode.radial.phi(p.r)
-    scale = max(
-        abs(mode.radial.e3.deriv()(p.r)),
-        abs(mode.radial.e3(p.r) / p.r),
-        abs(mode.radial.e2(p.r) / p.r),
-    )
-    return _field_real(value, scale * 1e-3, "divergence") * scalar_Y(mode.n, p.direction)
+    pair = mode.radial
+    scale = max(abs(pair.e3.deriv()(p.r)), abs(pair.e3(p.r) / p.r), abs(pair.e2(p.r) / p.r))
+    coef = _field_real(pair.phi(p.r), scale * 1e-3, "divergence")
+    return coef * scalar_Y(mode.n, p.direction) if coef else coef
 
 
 # ----------------------------------------------------------------------
@@ -282,41 +280,29 @@ def divergence_field(mode: SteklovMode, p: BallPoint) -> float:
 # ----------------------------------------------------------------------
 
 
-def _trace_data(mode: SteklovMode) -> tuple[float, float]:
-    """Tangential trace coefficient and boundary curl coefficient.
-
-    Returns (t, c) with E_T = t * A_tau and nu x curl E = c * A_tau on
-    the unit sphere, where A_tau is A_1 for family 2 and A_2 for
-    family 1.
-    """
-    pair = mode.radial
-    root = math.sqrt(mode.n.l * (mode.n.l + 1))
-    if mode.family == 2:
-        e1, de1 = pair.e1(1.0), pair.e1.deriv()(1.0)
-        scale = max(abs(e1), abs(de1))
-        trace = _field_real(e1, scale, "boundary trace")
-        curl_coef = _field_real(-(e1 + de1), scale, "boundary curl trace")
-        return trace, curl_coef
-    e2, de2 = pair.e2(1.0), pair.e2.deriv()(1.0)
-    e3 = pair.e3(1.0)
-    scale = max(abs(e2), abs(de2), abs(e3))
-    trace = _field_real(e2, scale, "boundary trace")
-    curl_coef = _field_real(-(e2 + de2) + root * e3, scale, "boundary curl trace")
-    return trace, curl_coef
+# The tangential slot tau of each family: E_T = e_tau(1) A_tau.
+_TANGENTIAL = {1: 2, 2: 1}
 
 
 def verify_steklov_bc(mode: SteklovMode, p: SurfacePoint) -> float:
     """Pointwise residual of nu x curl E = lambda E_T at a surface point.
 
-    Both sides live on a single tangential harmonic, c A_tau and
-    lambda t A_tau, so the residual is the modal mismatch relative to
-    the larger side, |c - lambda t| / max(|c|, |lambda t|), times that
-    harmonic's magnitude at p.  Being relative, it does not grow with
-    the scale of the unnormalized eigenfield.  Raises NotRepresentable
-    when both sides are 0 or either is not finite.
+    Both sides live on the family's tangential harmonic A_tau.  At r = 1
+    nu x curl E = c_1 A_2 - c_2 A_1 for the modal curl c (see
+    `_weak_identity_terms`); with e = e_tau and e3 = 0 when tau = 1, that
+    is c A_tau, c = -(e + e') + sqrt(l(l+1)) e3, against lambda e A_tau.
+    The residual is |c - lambda e| / max(|c|, |lambda e|) times |A_tau|
+    at p, so it does not grow with the scale of the unnormalized
+    eigenfield.  Raises NotRepresentable when both sides are 0 or
+    subnormal, or either is not finite.
     """
-    trace, curl_coef = _trace_data(mode)
-    tau = 1 if mode.family == 2 else 2
+    tau, pair = _TANGENTIAL[mode.family], mode.radial
+    f = (pair.e1, pair.e2)[tau - 1]
+    e, de, e3 = f(1.0), f.deriv()(1.0), pair.e3(1.0)
+    scale = max(abs(e), abs(de), abs(e3))
+    trace = _field_real(e, scale, "boundary trace")
+    root = math.sqrt(mode.n.l * (mode.n.l + 1))
+    curl_coef = _field_real(-(e + de) + root * e3, scale, "boundary curl trace")
     magnitude = vector_A(tau, mode.n, p).norm()
     lam_trace = mode.eigenvalue * trace
     scale = _checked_scale([curl_coef, lam_trace], "boundary condition")
@@ -324,6 +310,8 @@ def verify_steklov_bc(mode: SteklovMode, p: SurfacePoint) -> float:
 
 
 def _real_samples(f: RadialFunction, radii: np.ndarray, what: str) -> np.ndarray:
+    if not f.terms:  # an empty slot: zeros, without a call per node
+        return np.zeros(radii.shape)
     values = np.array([f(float(r)) for r in radii])
     scale = float(np.max(np.abs(values))) if values.size else 0.0
     if np.any(np.abs(values.imag) > 1e-9 * (np.abs(values.real) + scale + 1e-300)):
@@ -344,40 +332,37 @@ def _surface_sums(n: ModeIndex, order: int) -> tuple[float, float, float]:
 def _weak_identity_terms(
     mode: SteklovMode, radial_order: int, surface_order: int
 ) -> tuple[float, float, float, float]:
+    # With s_tau the surface integral of |A_tau|^2: |E|^2 integrates to
+    # sum e_tau^2 s_tau, |curl E|^2 to sum c_tau^2 s_tau with the modal
+    # curl c = (-(e2' + e2/r) + sqrt(l(l+1)) e3/r, e1' + e1/r,
+    # sqrt(l(l+1)) e1/r), and |div E|^2 to Phi^2 s_3, since div E =
+    # Phi(r) Y_n and |A_3|^2 = Y_n^2.
     l = mode.n.l
     root = math.sqrt(l * (l + 1))
     rule = gauss_legendre(radial_order)
     radii = 0.5 * (rule.nodes + 1.0)
     rweights = 0.5 * rule.weights * radii**2
-    s1, s2, s3 = _surface_sums(mode.n, surface_order)
+    sums = _surface_sums(mode.n, surface_order)
 
-    pair = mode.radial
-    if mode.family == 2:
-        e1 = _real_samples(pair.e1, radii, "e1")
-        de1 = _real_samples(pair.e1.deriv(), radii, "e1'")
-        curl_sq = (root * e1 / radii) ** 2 * s3 + (de1 + e1 / radii) ** 2 * s2
-        field_sq = e1**2 * s1
-        div_sq = np.zeros_like(e1)
-        e1_b = _real_samples(pair.e1, np.array([1.0]), "e1")[0]
-        boundary = e1_b**2 * s1
-    else:
-        e2 = _real_samples(pair.e2, radii, "e2")
-        de2 = _real_samples(pair.e2.deriv(), radii, "e2'")
-        e3 = _real_samples(pair.e3, radii, "e3")
-        phi = _real_samples(pair.phi, radii, "div")
-        curl_sq = (-(de2 + e2 / radii) + root * e3 / radii) ** 2 * s1
-        field_sq = e2**2 * s2 + e3**2 * s3
-        # div E = Phi(r) Y_n and |A_3|^2 = Y_n^2, so reuse the s3 table.
-        div_sq = phi**2 * s3
-        e2_b = _real_samples(pair.e2, np.array([1.0]), "e2")[0]
-        e3_b = _real_samples(pair.e3, np.array([1.0]), "e3")[0]
-        boundary = e2_b**2 * s2 + e3_b**2 * s3
+    def modal_sum(coefs) -> np.ndarray:
+        return sum(c**2 * s for c, s in zip(coefs, sums))
+
+    slots = (mode.radial.e1, mode.radial.e2, mode.radial.e3)
+    e1, e2, e3 = (_real_samples(f, radii, f"e{tau}") for tau, f in enumerate(slots, 1))
+    de1, de2 = (_real_samples(f.deriv(), radii, f"e{tau}'") for tau, f in enumerate(slots[:2], 1))
+    curl_sq = modal_sum((-(de2 + e2 / radii) + root * e3 / radii, de1 + e1 / radii, root * e1 / radii))
+    field_sq = modal_sum((e1, e2, e3))
+    div_sq = _real_samples(mode.radial.phi, radii, "div") ** 2 * sums[2]
+    boundary = modal_sum(_real_samples(f, np.array([1.0]), f"e{tau}")[0] for tau, f in enumerate(slots, 1))
 
     t_curl = float(np.sum(rweights * curl_sq))
     t_field = mode.k2 * float(np.sum(rweights * field_sq))
     t_div = mode.theta * float(np.sum(rweights * div_sq))
     t_boundary = mode.eigenvalue * boundary
     return t_curl, t_field, t_div, t_boundary
+
+
+_REFINEMENT_TOL = 1e-8  # the weak-identity suite's tolerance, relative to the largest term
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -390,9 +375,9 @@ def verify_weak_identity(mode: SteklovMode) -> float:
     under product Gauss quadrature (a radial rule of order 2l + 12 with
     r^2 weight times the surface rule for degree 2l + 4), normalized by
     the largest of the four terms.  Raises QuadratureTooCoarse when
-    refining both orders by 4 moves the defect by more than 10% of that
-    scale, and NotRepresentable when the terms of either order are all 0
-    or not all finite.
+    refining both orders by 4 moves the defect by more than the weak-
+    identity suite's tolerance, 1e-8 of that scale, and NotRepresentable
+    when the largest term of either order is 0, subnormal or not finite.
     """
     l = mode.n.l
     radial_order, surface_order = 2 * l + 12, 2 * l + 4
@@ -402,7 +387,7 @@ def verify_weak_identity(mode: SteklovMode) -> float:
     scale = _checked_scale(refined, "weak identity")
     base_value = base[0] - base[1] + base[2] + base[3]
     refined_value = refined[0] - refined[1] + refined[2] + refined[3]
-    if abs(base_value - refined_value) > 0.1 * scale:
+    if abs(base_value - refined_value) > _REFINEMENT_TOL * scale:
         raise QuadratureTooCoarse(
             f"weak-form defect moved from {base_value:.3e} to {refined_value:.3e} "
             f"under refinement (scale {scale:.3e})"
@@ -416,22 +401,15 @@ def verify_weak_identity(mode: SteklovMode) -> float:
 
 
 def eigenfield(mode: SteklovMode, p: BallPoint) -> Vec3:
-    """Eigenfield value in the local spherical frame at a ball point.
-
-    Family 1: E = e2(r) A_2 + e3(r) A_3 (tangential trace only at r = 1
-    since e3(1) = 0); family 2: E = e1(r) A_1.
+    """Eigenfield E = e1(r) A_1 + e2(r) A_2 + e3(r) A_3 in the local
+    spherical frame at a ball point (family 1 has e3(1) = 0, so E is
+    tangential at r = 1).  A zero coefficient needs no harmonic.
     """
-    pair = mode.radial
-    if mode.family == 2:
-        value = pair.e1(p.r)
-        scale = abs(value)
-        coef = _field_real(value, scale, "e1")
-        return vector_A(1, mode.n, p.direction) * coef
-    v2, v3 = pair.e2(p.r), pair.e3(p.r)
-    scale = max(abs(v2), abs(v3))
-    c2 = _field_real(v2, scale, "e2")
-    c3 = _field_real(v3, scale, "e3")
-    return vector_A(2, mode.n, p.direction) * c2 + vector_A(3, mode.n, p.direction) * c3
+    values = [f(p.r) for f in (mode.radial.e1, mode.radial.e2, mode.radial.e3)]
+    scale = max(abs(v) for v in values)
+    coefs = [_field_real(v, scale, f"e{tau}") for tau, v in enumerate(values, 1)]
+    terms = (vector_A(tau, mode.n, p.direction) * c for tau, c in enumerate(coefs, 1) if c)
+    return sum(terms, Vec3(0.0, 0.0, 0.0))
 
 
 def eigenfield_cartesian(mode: SteklovMode):

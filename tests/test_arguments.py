@@ -1,10 +1,12 @@
 """One argument policy at every entry point: an integer argument (a
 degree, order, count or dimension) takes a Python or numpy integer and
 gives the same result for both; a bool, a float or a string is refused
-with the site's typed error, which quotes the value."""
+with the site's typed error, which quotes the value.  A family or tau
+selector follows the same rule within its set."""
 
 from __future__ import annotations
 
+import dataclasses
 import pickle
 import re
 
@@ -16,6 +18,7 @@ from steklov_ball import (
     InvalidMode,
     ModeIndex,
     RadialKind,
+    SurfacePoint,
     ball_steklov_spectrum,
     bessel_zeros,
     enumerate_modes,
@@ -38,6 +41,7 @@ from steklov_ball import (
     sph_bessel_j_deriv,
     steklov_mode,
     surface_quadrature,
+    vector_A,
     weyl_exponent_fit,
     zero_in_spectrum,
 )
@@ -45,6 +49,8 @@ from steklov_ball.kernel import eigen_grid
 from steklov_ball.specfun import assoc_legendre_tower
 
 E3 = radial_profiles(RadialKind.MATCHED, 2, 3.0).e3
+N1 = ModeIndex("even", 0, 1)
+MODE = steklov_mode(1, N1, 1.0)
 
 # name -> (call with the integer argument, a valid value, the error type)
 CASES = {
@@ -85,6 +91,11 @@ CASES = {
     "weyl_exponent_fit.n": (lambda v: weyl_exponent_fit(v, 1000), 3, InvalidMode),
     "weyl_exponent_fit.count": (lambda v: weyl_exponent_fit(3, v), 1000, DomainError),
     "run_suites": (lambda v: run_suites(["zero-spectrum"], l_max=v), 2, InvalidMode),
+    # Selectors follow the same rule within their set; True used to pass as 1.
+    "eigen_grid.family": (lambda v: eigen_grid(v, 1, 2, [3.0]), 2, InvalidMode),
+    "steklov_mode.family": (lambda v: steklov_mode(v, N1, 1.0), 2, InvalidMode),
+    "SteklovMode.family": (lambda v: dataclasses.replace(MODE, family=v), 2, InvalidMode),
+    "vector_A.tau": (lambda v: vector_A(v, N1, SurfacePoint(0.7, 1.1)), 2, InvalidMode),
 }
 
 
@@ -93,7 +104,7 @@ def test_degree_arguments_are_integers(name):
     call, good, error = CASES[name]
     # Same result, bit for bit and type for type, from a numpy integer.
     assert pickle.dumps(call(np.int64(good))) == pickle.dumps(call(good))
-    for bad in (True, 2.5, "3"):
+    for bad in (True, 2.0, 2.5, "3"):
         with pytest.raises(error, match=f"got {re.escape(repr(bad))}$"):
             call(bad)
 

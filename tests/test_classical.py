@@ -102,3 +102,15 @@ def test_classical_validation():
         multiplicity(3, -1)
     with pytest.raises(DomainError):
         weyl_exponent_fit(3, 10)
+    # The dimension is bounded: an unbounded n (3,000,000, say) kept the
+    # multiplicity loop busy for minutes.  The top dimension answers, and
+    # the refused one sits just above it, so that a build without the
+    # bound fails here fast instead of hanging.
+    assert len(ball_steklov_spectrum(10**4, count=10**6).entries) == 3
+    for call in (
+        lambda: multiplicity(10**4 + 1, 2),
+        lambda: harmonic_polynomial_dimension(10**4 + 1, 2),
+        lambda: ball_steklov_spectrum(10**4 + 1, count=5),
+    ):
+        with pytest.raises(InvalidMode, match=r"^dimension must be an integer in \[2, 10000\]"):
+            call()

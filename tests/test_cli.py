@@ -104,6 +104,7 @@ def test_invalid_flags_exit_2():
         ["sweep", "--l", "1:2", "--k2", "1:2", "--samples", "5", "--threads", "65"],
         ["eigs", "--k2", "1", "--config", "/nonexistent.cfg"],
         ["eigs", "--k2", "1", "--out", "/nonexistent-dir/x.csv"],
+        ["classical", "--dim", "10001", "--count", "5"],
     ):
         r = run_cli(*args)
         assert r.returncode == 2, args

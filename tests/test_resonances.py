@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
 import pytest
 
 from steklov_ball import (
@@ -18,12 +19,14 @@ from steklov_ball import (
     bessel_zeros,
     exclusion_check,
     family1_resonances,
+    lambda1,
     magnetic_zeros,
     neumann_zeros,
     sph_bessel_j,
     sph_bessel_j_deriv,
     zero_in_spectrum,
 )
+from steklov_ball.errors import _validate_eig_args
 from steklov_ball.resonances import _scan
 
 # first roots, mpmath 40 digits
@@ -285,3 +288,30 @@ def test_exclusion_check_edge_cases():
 def test_check_inputs_are_validated(check, k2, theta, l_max, error):
     with pytest.raises(error):
         check(k2, theta, l_max)
+
+
+def test_one_k2_bound_for_eigenvalues_and_root_queries():
+    # lambda1 answered this (k^2, theta) while the root queries refused it:
+    # the bound had two formulas, max(|k2|, |k2|/theta) > 1e10 and
+    # |k2| <= 1e10 min(1, theta), which round apart.  At l_max = 0 the
+    # queries return at once.
+    k2, theta = 125383578.2219086, 0.012538357822190859
+    assert math.isfinite(lambda1(1, k2, theta))
+    assert exclusion_check(k2, theta, 0) == (True, math.inf)
+    assert zero_in_spectrum(k2, theta, 0) == (False, [])
+
+    def accepts(call) -> bool:
+        try:
+            call()
+        except DomainError:
+            return False
+        return True
+
+    # One float either side of 1e10 theta, for theta < 1, where the two
+    # formulas differed (132 of these 2000 probes).
+    rng = np.random.default_rng(15)
+    for theta in 10.0 ** rng.uniform(-8.0, 0.0, 2000):
+        k2 = float(np.nextafter(1e10 * theta, rng.choice([0.0, np.inf])) * rng.choice([-1.0, 1.0]))
+        eigenvalue_domain = accepts(lambda: _validate_eig_args(1, k2, theta))
+        assert accepts(lambda: exclusion_check(k2, theta, 0)) == eigenvalue_domain, (k2, theta)
+        assert accepts(lambda: zero_in_spectrum(k2, theta, 0)) == eigenvalue_domain, (k2, theta)

@@ -282,11 +282,14 @@ def test_mode_weak_identity(family, parity, m, l, k2, theta):
 
 
 def test_perturbed_eigenvalue_is_detected():
-    mode = steklov_mode(1, ModeIndex("even", 0, 2), 4.0, 1.0)
-    bad = dataclasses.replace(mode, eigenvalue=mode.eigenvalue * (1.0 + 1e-3))
-    worst = max(verify_steklov_bc(bad, p) for p in SURFACE_POINTS)
-    assert worst > 1e-5
-    assert verify_weak_identity(bad) > 1e-5
+    # Both families run the same boundary and weak-form code; each must
+    # catch a wrong eigenvalue.
+    for family, n in ((1, ModeIndex("even", 0, 2)), (2, ModeIndex("odd", 1, 3))):
+        mode = steklov_mode(family, n, 4.0, 1.0)
+        bad = dataclasses.replace(mode, eigenvalue=mode.eigenvalue * (1.0 + 1e-3))
+        worst = max(verify_steklov_bc(bad, p) for p in SURFACE_POINTS)
+        assert worst > 1e-5, family
+        assert verify_weak_identity(bad) > 1e-5, family
 
 
 def test_fourth_order_factorization():
@@ -381,6 +384,20 @@ def test_eigenfield_checks_refuse_an_underflowed_mode():
         steklov_mode(1, ModeIndex("even", 0, 150), 1.0)
 
 
+def test_eigenfield_checks_refuse_a_subnormal_mode():
+    # Family 2 at l = 155, k^2 = 1: e1(1) = j_155(1) is subnormal, so the
+    # boundary residual read 4.5e-3 and the radial system (0.0, 0.0), with
+    # no digits left to compare.  The same at l = 150, r = 0.9.
+    checks = (
+        lambda: verify_steklov_bc(steklov_mode(2, ModeIndex("even", 0, 155), 1.0), SURFACE_POINTS[0]),
+        lambda: residual_system(steklov_mode(2, ModeIndex("even", 0, 155), 1.0).radial, 1.0),
+        lambda: residual_system(steklov_mode(2, ModeIndex("even", 0, 150), 1.0).radial, 0.9),
+    )
+    for check in checks:
+        with pytest.raises(NotRepresentable, match="is subnormal"):
+            check()
+
+
 def test_family1_modes_reach_degree_200():
     # The matched profiles read j_l and j_l' of degree l only, so the top
     # degree builds; where j_l(k) underflows (l = 199, k^2 = 1) the mode
@@ -409,9 +426,13 @@ def test_eigenfield_checks_refuse_an_overflowed_mode():
 
 
 def test_weak_identity_quadrature_guards():
-    mode = steklov_mode(1, ModeIndex("even", 0, 1), 900.0, 1.0)
-    with pytest.raises(QuadratureTooCoarse):
-        verify_weak_identity(mode)
+    # At l = 10 refinement moves the defect by 5.9e-2 (k^2 = 1e8) and
+    # 3.7e-3 (k^2 = 1e4) of the largest term: far above the suite's 1e-8,
+    # but below the 10 % the guard once used, so they returned 2.9e-2
+    # and 0.229.
+    for family, l, k2 in ((1, 1, 900.0), (1, 10, 1e8), (2, 10, 1e4)):
+        with pytest.raises(QuadratureTooCoarse):
+            verify_weak_identity(steklov_mode(family, ModeIndex("even", 0, l), k2, 1.0))
 
 
 def test_zero_in_spectrum_witnesses():
