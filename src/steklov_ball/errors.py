@@ -91,13 +91,19 @@ def _choice(value, name: str, allowed: tuple[int, ...]) -> int:
     return number
 
 
+def _real(value) -> float:
+    """`value` as a float; NaN for a complex number and for anything that
+    float() refuses, so that every range test that follows fails."""
+    try:
+        return math.nan if isinstance(value, complex) else float(value)
+    except (TypeError, ValueError):
+        return math.nan
+
+
 def _positive(value, name: str, error: type = DomainError) -> float:
     """`value` as a float in (0, inf); complex numbers and anything that
     float() refuses raise `error`."""
-    try:
-        number = math.nan if isinstance(value, complex) else float(value)
-    except (TypeError, ValueError):
-        number = math.nan
+    number = _real(value)
     if not 0.0 < number < math.inf:
         raise error(f"{name} must be positive and finite, got {value!r}")
     return number
@@ -116,9 +122,10 @@ def _validate_eig_args(l, k2, theta=1.0) -> tuple[int, float, float]:
     l = _integer(l, "degree l", 1, _L_MAX)
     if isinstance(k2, complex):
         raise InvalidMode(f"k2 must be real, got {k2!r}")
-    k2 = float(k2)
-    if not math.isfinite(k2) or k2 == 0.0:
+    number = _real(k2)
+    if not math.isfinite(number) or number == 0.0:
         raise InvalidMode(f"k2 must be finite and nonzero, got {k2!r}")
+    k2 = number
     theta = _positive(theta, "theta")
     if not _k2_within(k2, theta):
         raise DomainError(f"|k2| and |k2/theta| must be at most {_K2_MAX:g}, got {k2!r}, {theta!r}")

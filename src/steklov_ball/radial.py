@@ -17,14 +17,17 @@ involved anywhere in the residual evaluations built on top of this.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 import sys
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
 
+import numpy as np
+
 from .errors import DirichletResonance, DomainError, NotRepresentable, _validate_eig_args
-from .specfun import _j_and_deriv
+from .specfun import _j_and_deriv, _j_pair_lanes, _pow
 
 __all__ = [
     "RadialKind",
@@ -108,7 +111,10 @@ class RadialFunction:
             terms=((complex(c), _poly(alpha or {}), _poly(beta or {})),),
         )
 
-    def __call__(self, r: float) -> complex:
+    def __call__(self, r):
+        """f at a radius r > 0, or at every entry of an array of radii."""
+        if not isinstance(r, float) and np.ndim(r):
+            return _sample((self,), r)[0]
         r = float(r)
         if not (r > 0.0):
             raise DomainError(f"r must be positive, got {r!r}")
@@ -181,6 +187,28 @@ class RadialFunction:
             if a or b
         )
         return RadialFunction(l=self.l, terms=terms)
+
+
+def _sample(funcs, r) -> list[np.ndarray]:
+    # Each radial function at every entry of an array of radii r > 0, with
+    # one tower per (degree, wavenumber) and one r**p per power for them
+    # all; float's power rounds r**p as a scalar call does.
+    r = np.asarray(r, dtype=float)
+    if not np.all(r > 0.0):
+        raise DomainError(f"r must be positive, got {float(r[~(r > 0.0)][0])!r}")
+    power = functools.cache(lambda p: _pow(r, p))
+    pairs: dict[tuple[int, complex], tuple[np.ndarray, np.ndarray]] = {}
+    out = []
+    for f in funcs:
+        total = np.zeros(r.shape, dtype=complex)
+        for c, alpha, beta in f.terms:
+            if (f.l, c) not in pairs:
+                pairs[f.l, c] = _j_pair_lanes(f.l, c * r)
+            j, jp = pairs[f.l, c]
+            a, b = (sum((coef * power(p) for p, coef in poly), 0.0 + 0.0j) for poly in (alpha, beta))
+            total = total + (a * j + b * jp)
+        out.append(total)
+    return out
 
 
 def bessel_operator(f: RadialFunction, k2: complex) -> RadialFunction:

@@ -43,7 +43,7 @@ import math
 from dataclasses import dataclass
 from typing import Callable
 
-from .errors import _K2_MAX, _L_MAX, DomainError, InvalidMode, ScanExhausted, _integer, _k2_within, _positive
+from .errors import _K2_MAX, _L_MAX, DomainError, InvalidMode, ScanExhausted, _integer, _k2_within, _positive, _real
 from .specfun import _j_pair
 
 __all__ = [
@@ -209,9 +209,10 @@ def _check_query(k2: float, theta: float, l_max: int) -> tuple[float, float, int
     advance the scan point)."""
     l_max = _integer(l_max, "l_max", 0, _L_MAX)
     theta = _positive(theta, "theta")
-    if isinstance(k2, complex) or not _k2_within(float(k2), theta):
+    number = _real(k2)
+    if not _k2_within(number, theta):
         raise DomainError(f"k2 must be real with |k2| and |k2/theta| at most {_K2_MAX:g}, got {k2!r}")
-    return float(k2), theta, l_max
+    return number, theta, l_max
 
 
 def _counted(kind: str, l: int, count: int, theta: float | None = None, l_min: int = 1) -> RootList:

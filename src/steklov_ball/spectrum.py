@@ -57,8 +57,8 @@ from .harmonics import (
     vector_A,
 )
 from .kernel import lambda1, lambda2
-from .radial import RadialFunction, RadialKind, RadialPair, bessel_operator, radial_profiles
-from .specfun import _j_deriv, gauss_legendre, sph_bessel_j_all
+from .radial import RadialFunction, RadialKind, RadialPair, _sample, bessel_operator, radial_profiles
+from .specfun import QuadratureRule, _j_all_lanes, gauss_legendre
 
 __all__ = [
     "lambda1_theta1_alt",
@@ -74,7 +74,6 @@ __all__ = [
 ]
 
 
-@np.errstate(over="ignore", invalid="ignore")
 def lambda1_theta1_alt(l: int, k2: float) -> float:
     """Family-1 eigenvalue at theta = 1 in product form:
     -k j_l(k) j_l'(k) / (j_{l+1}(k) j_{l-1}(k)).
@@ -90,26 +89,40 @@ def lambda1_theta1_alt(l: int, k2: float) -> float:
     NotRepresentable.
     """
     l, k2, _ = _validate_eig_args(_integer(l, "degree l", 1, _L_MAX - 1), k2)
-    k = cmath.sqrt(complex(k2, 0.0))
-    tab = sph_bessel_j_all(l + 1, k)
-    if not all(sys.float_info.min <= abs(tab[m]) < math.inf for m in (l - 1, l, l + 1)):
+    values, resonant = _theta1_alt_rows(l, l, np.array([k2]))
+    if resonant[0, 0]:
+        raise DirichletResonance(f"j_{l + 1}(k) j_{l - 1}(k) vanishes at k2 = {k2}")
+    return float(values[0, 0])
+
+
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
+def _theta1_alt_rows(l_lo: int, l_hi: int, k2s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    # lambda1_theta1_alt at degrees l_lo..l_hi (rows) and every k2 of an
+    # array (columns), from one tower of order l_hi + 1: the values, and
+    # the cells where it raises DirichletResonance.  Its other errors are
+    # raised for the first such cell in row order.
+    k = np.sqrt(k2s.astype(complex))
+    j = _j_all_lanes(l_hi + 1, k)
+    dj = np.concatenate([-j[1:2], j[:-1] - np.arange(2, l_hi + 3)[:, None] / k * j[1:]])
+    ls = np.arange(l_lo, l_hi + 1)
+    size = np.abs(j[[ls - 1, ls, ls + 1]])
+    bad = np.argwhere(~np.all((sys.float_info.min <= size) & (size < math.inf), axis=0))
+    if bad.size:
+        l, k2 = l_lo + int(bad[0, 0]), float(k2s[bad[0, 1]])
         raise DomainError(
             f"j_{l - 1}, j_{l} or j_{l + 1} leaves the normal double range at k2 = {k2}; "
             "eigenvalue not representable"
         )
     # Per-factor Newton-step guards, as in the direct form: each factor
     # is near one of its zeros iff |j_m| is small against |k j_m'|.
-    for m in (l + 1, l - 1):
-        if abs(tab[m]) < 1e-12 * abs(k * _j_deriv(tab, m, k)):
-            raise DirichletResonance(
-                f"j_{l + 1}(k) j_{l - 1}(k) vanishes at k2 = {k2}"
-            )
-    value = -k * (tab[l] / tab[l + 1]) * (_j_deriv(tab, l, k) / tab[l - 1])
-    if abs(value.imag) > 1e-10 * (1.0 + abs(value.real)):
+    resonant = np.any(np.abs(j[[ls + 1, ls - 1]]) < 1e-12 * np.abs(k * dj[[ls + 1, ls - 1]]), axis=0)
+    value = -k * (j[ls] / j[ls + 1]) * (dj[ls] / j[ls - 1])
+    nonreal = value[~resonant & (np.abs(value.imag) > 1e-10 * (1.0 + np.abs(value.real)))]
+    if nonreal.size:
         raise NonRealEigenvalue(
-            f"lambda1_theta1_alt = {value!r} has a non-negligible imaginary part"
+            f"lambda1_theta1_alt = {complex(nonreal[0])!r} has a non-negligible imaginary part"
         )
-    return value.real
+    return value.real, resonant
 
 
 # ----------------------------------------------------------------------
@@ -163,9 +176,12 @@ def steklov_mode(family: int, n: ModeIndex, k2: float, theta: float = 1.0) -> St
     )
 
 
-def _field_real(value: complex, scale: float, what: str) -> float:
-    if abs(value.imag) > 1e-9 * (abs(value.real) + scale):
-        raise NonRealEigenvalue(f"{what} = {value!r} is not real")
+def _field_real(value, scale, what: str):
+    # The real part of a complex value or array, which must be real to
+    # 1e-9 of its size plus scale; the error quotes the first that is not.
+    bad = abs(value.imag) > 1e-9 * (abs(value.real) + scale)
+    if np.any(bad):
+        raise NonRealEigenvalue(f"{what} = {complex(np.asarray(value)[bad].flat[0])!r} is not real")
     return value.real
 
 
@@ -269,10 +285,17 @@ def divergence_field(mode: SteklovMode, p: BallPoint) -> float:
     function for a toroidal pair, so family 2 returns 0; as in
     `eigenfield`, a zero coefficient needs no harmonic.
     """
-    pair = mode.radial
-    scale = max(abs(pair.e3.deriv()(p.r)), abs(pair.e3(p.r) / p.r), abs(pair.e2(p.r) / p.r))
-    coef = _field_real(pair.phi(p.r), scale * 1e-3, "divergence")
+    coef = float(_divergence_coef(mode, np.array([p.r]))[0])
     return coef * scalar_Y(mode.n, p.direction) if coef else coef
+
+
+def _divergence_coef(mode: SteklovMode, r: np.ndarray) -> np.ndarray:
+    # Phi at an array of radii, asserted real against the terms it is
+    # built from; with one tower per wavenumber for all of them.
+    pair = mode.radial
+    phi, de3, e3, e2 = _sample((pair.phi, pair.e3.deriv(), pair.e3, pair.e2), r)
+    scale = np.maximum.reduce([np.abs(de3), np.abs(e3 / r), np.abs(e2 / r)])
+    return _field_real(phi, scale * 1e-3, "divergence")
 
 
 # ----------------------------------------------------------------------
@@ -309,16 +332,6 @@ def verify_steklov_bc(mode: SteklovMode, p: SurfacePoint) -> float:
     return abs(curl_coef - lam_trace) / scale * magnitude
 
 
-def _real_samples(f: RadialFunction, radii: np.ndarray, what: str) -> np.ndarray:
-    if not f.terms:  # an empty slot: zeros, without a call per node
-        return np.zeros(radii.shape)
-    values = np.array([f(float(r)) for r in radii])
-    scale = float(np.max(np.abs(values))) if values.size else 0.0
-    if np.any(np.abs(values.imag) > 1e-9 * (np.abs(values.real) + scale + 1e-300)):
-        raise NonRealEigenvalue(f"{what} is not real on the radial grid")
-    return values.real
-
-
 def _surface_sums(n: ModeIndex, order: int) -> tuple[float, float, float]:
     # Surface integrals of |A_1|^2, |A_2|^2, |A_3|^2: |A_3|^2 = Y^2 and
     # |A_1|^2 = |A_2|^2 = (a^2 + b^2) / (l(l+1)), rounded as Vec3.norm().
@@ -330,16 +343,15 @@ def _surface_sums(n: ModeIndex, order: int) -> tuple[float, float, float]:
 
 
 def _weak_identity_terms(
-    mode: SteklovMode, radial_order: int, surface_order: int
+    mode: SteklovMode, rule: QuadratureRule, samples: np.ndarray, at_one: np.ndarray, surface_order: int
 ) -> tuple[float, float, float, float]:
-    # With s_tau the surface integral of |A_tau|^2: |E|^2 integrates to
-    # sum e_tau^2 s_tau, |curl E|^2 to sum c_tau^2 s_tau with the modal
-    # curl c = (-(e2' + e2/r) + sqrt(l(l+1)) e3/r, e1' + e1/r,
-    # sqrt(l(l+1)) e1/r), and |div E|^2 to Phi^2 s_3, since div E =
-    # Phi(r) Y_n and |A_3|^2 = Y_n^2.
+    # From e1, e2, e3, e1', e2', Phi at the rule's radii and e1, e2, e3 at
+    # r = 1.  With s_tau the surface integral of |A_tau|^2: |E|^2
+    # integrates to sum e_tau^2 s_tau, |curl E|^2 to sum c_tau^2 s_tau with
+    # the modal curl c = (-(e2' + e2/r) + sqrt(l(l+1)) e3/r, e1' + e1/r,
+    # sqrt(l(l+1)) e1/r), and |div E|^2 to Phi^2 s_3 (div E = Phi Y_n).
     l = mode.n.l
     root = math.sqrt(l * (l + 1))
-    rule = gauss_legendre(radial_order)
     radii = 0.5 * (rule.nodes + 1.0)
     rweights = 0.5 * rule.weights * radii**2
     sums = _surface_sums(mode.n, surface_order)
@@ -347,18 +359,15 @@ def _weak_identity_terms(
     def modal_sum(coefs) -> np.ndarray:
         return sum(c**2 * s for c, s in zip(coefs, sums))
 
-    slots = (mode.radial.e1, mode.radial.e2, mode.radial.e3)
-    e1, e2, e3 = (_real_samples(f, radii, f"e{tau}") for tau, f in enumerate(slots, 1))
-    de1, de2 = (_real_samples(f.deriv(), radii, f"e{tau}'") for tau, f in enumerate(slots[:2], 1))
+    e1, e2, e3, de1, de2, phi = samples
     curl_sq = modal_sum((-(de2 + e2 / radii) + root * e3 / radii, de1 + e1 / radii, root * e1 / radii))
     field_sq = modal_sum((e1, e2, e3))
-    div_sq = _real_samples(mode.radial.phi, radii, "div") ** 2 * sums[2]
-    boundary = modal_sum(_real_samples(f, np.array([1.0]), f"e{tau}")[0] for tau, f in enumerate(slots, 1))
+    div_sq = phi**2 * sums[2]
 
     t_curl = float(np.sum(rweights * curl_sq))
     t_field = mode.k2 * float(np.sum(rweights * field_sq))
     t_div = mode.theta * float(np.sum(rweights * div_sq))
-    t_boundary = mode.eigenvalue * boundary
+    t_boundary = mode.eigenvalue * modal_sum(at_one)
     return t_curl, t_field, t_div, t_boundary
 
 
@@ -381,8 +390,17 @@ def verify_weak_identity(mode: SteklovMode) -> float:
     """
     l = mode.n.l
     radial_order, surface_order = 2 * l + 12, 2 * l + 4
-    base = _weak_identity_terms(mode, radial_order, surface_order)
-    refined = _weak_identity_terms(mode, radial_order + 4, surface_order + 4)
+    rules = gauss_legendre(radial_order), gauss_legendre(radial_order + 4)
+    radii = [0.5 * (rule.nodes + 1.0) for rule in rules]
+    # One array call per slot over the radii of both rules and r = 1.
+    pair = mode.radial
+    slots = {"e1": pair.e1, "e2": pair.e2, "e3": pair.e3}
+    slots.update({"e1'": pair.e1.deriv(), "e2'": pair.e2.deriv(), "div": pair.phi})
+    values = _sample(slots.values(), np.concatenate([*radii, [1.0]]))
+    samples = np.array([_field_real(v, np.max(np.abs(v)) + 1e-300, what) for what, v in zip(slots, values)])
+    cut, at_one = radii[0].size, samples[:3, -1]
+    base = _weak_identity_terms(mode, rules[0], samples[:, :cut], at_one, surface_order)
+    refined = _weak_identity_terms(mode, rules[1], samples[:, cut:-1], at_one, surface_order + 4)
     _checked_scale(base, "weak identity")
     scale = _checked_scale(refined, "weak identity")
     base_value = base[0] - base[1] + base[2] + base[3]

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import random
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,7 +24,7 @@ from . import classical, fd, harmonics, kernel, resonances, spectrum
 from .errors import _L_MAX, DirichletResonance, InvalidMode, _integer, _positive
 from .harmonics import BallPoint, ModeIndex, SurfacePoint
 from .radial import RadialKind, radial_profiles
-from .specfun import sph_bessel_j, sph_bessel_j_deriv
+from .specfun import _j_all_lanes, assoc_legendre_tower, sph_bessel_j, sph_bessel_j_deriv
 
 __all__ = ["Check", "VerifyReport", "SUITE_NAMES", "run_suites", "sample_modes"]
 
@@ -117,24 +118,17 @@ def _suite_spot_values(ctx: _Context) -> list[Check]:
 
 def _suite_form_equivalence(ctx: _Context) -> list[Check]:
     tol = 1e-10 * ctx.tol_scale
-    worst = 0.0
-    tried = 0
     k2s = np.linspace(-50.0, 50.0, 101)
     k2s = k2s[k2s != 0.0]
-    # One kernel grid: a cell equals lambda1 bit for bit, and ok is False
-    # exactly where lambda1 raises DirichletResonance.
+    # One kernel grid and one tower: a kernel cell equals lambda1 bit for
+    # bit and ok is False exactly where lambda1 raises DirichletResonance;
+    # resonant marks the cells where lambda1_theta1_alt raises it.
     values, ok = kernel.eigen_grid(1, 1, ctx.cap(10), k2s, 1.0)
-    for l, (row, row_ok) in enumerate(zip(values.tolist(), ok.tolist()), start=1):
-        for k2, a, a_ok in zip(k2s.tolist(), row, row_ok):
-            if not a_ok:
-                continue
-            try:
-                b = spectrum.lambda1_theta1_alt(l, k2)
-            except DirichletResonance:
-                continue
-            if a != 0.0:
-                worst = max(worst, abs(a - b) / abs(a))
-                tried += 1
+    alt, resonant = spectrum._theta1_alt_rows(1, ctx.cap(10), k2s)
+    use = ok & ~resonant & (values != 0.0)
+    a, b = values[use], alt[use]
+    worst = float(np.max(np.abs(a - b) / np.abs(a), initial=0.0))
+    tried = int(np.count_nonzero(use))
     name = f"lambda1 vs alt over {tried} off-resonance points"
     return [_check("form-equivalence", name, worst, tol)]
 
@@ -231,32 +225,20 @@ def _suite_weak_identity(ctx: _Context) -> list[Check]:
 
 def _suite_divergence(ctx: _Context) -> list[Check]:
     checks = []
-    rng = np.random.default_rng(20240817)
-    points = [
-        BallPoint(
-            r=float(rng.uniform(0.15, 0.95)),
-            direction=SurfacePoint(
-                theta=float(rng.uniform(0.1, math.pi - 0.1)),
-                phi=float(rng.uniform(0.0, 2.0 * math.pi - 1e-9)),
-            ),
-        )
-        for _ in range(100)
-    ]
+    rng = random.Random(20240817)
+    box = ((0.15, 0.95), (0.1, math.pi - 0.1), (0.0, 2.0 * math.pi - 1e-9))  # r, polar, azimuth
+    r, polar, azimuth = np.array([[rng.uniform(*side) for side in box] for _ in range(100)]).T
+    n = ModeIndex("even", 1, 2)
+    y = harmonics._angular(n, [t[n.l] for t in assoc_legendre_tower(n.m, n.l, np.cos(polar))], azimuth)[0]
 
-    mode2 = spectrum.steklov_mode(2, ModeIndex("even", 1, 2), 5.0, 1.0)
-    worst2 = max(abs(spectrum.divergence_field(mode2, p)) for p in points)
+    mode2 = spectrum.steklov_mode(2, n, 5.0, 1.0)
+    worst2 = float(np.max(np.abs(spectrum._divergence_coef(mode2, r) * y)))
     checks.append(_check("divergence", "family 2 divergence-free, 100 points", worst2, 1e-11 * ctx.tol_scale))
 
-    mode1 = spectrum.steklov_mode(1, ModeIndex("even", 1, 2), 5.0, 2.0)
+    mode1 = spectrum.steklov_mode(1, n, 5.0, 2.0)
     q = math.sqrt(5.0 / 2.0)
-    closed = []
-    modal = []
-    for p in points:
-        y = harmonics.scalar_Y(mode1.n, p.direction)
-        closed.append(-(5.0 / 2.0) * sph_bessel_j(2, complex(q * p.r)).real * y)
-        modal.append(spectrum.divergence_field(mode1, p))
-    closed_arr = np.asarray(closed)
-    modal_arr = np.asarray(modal)
+    closed_arr = -(5.0 / 2.0) * _j_all_lanes(2, q * r)[2].real * y
+    modal_arr = spectrum._divergence_coef(mode1, r) * y
     mask = np.abs(closed_arr) >= 0.01 * np.max(np.abs(closed_arr))
     rel = float(np.max(np.abs(modal_arr[mask] - closed_arr[mask]) / np.abs(closed_arr[mask])))
     checks.append(_check("divergence", "family 1 modal vs closed form", rel, 1e-10 * ctx.tol_scale))

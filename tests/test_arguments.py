@@ -115,3 +115,25 @@ def test_numpy_integers_are_stored_as_int():
     assert mode == ModeIndex("even", 0, 2)
     assert steklov_mode(1, ModeIndex("even", np.int64(0), np.int64(1)), 1.0).n.l == 1
     assert type(bessel_zeros(np.int64(2), 1).l) is int
+
+
+# name -> (call with k2, the typed error for a k2 that is not a real number)
+K2_CASES = {
+    "lambda1": (lambda v: lambda1(1, v, 0.5), InvalidMode),
+    "lambda2": (lambda v: lambda2(1, v), InvalidMode),
+    "lambda1_theta1_alt": (lambda v: lambda1_theta1_alt(1, v), InvalidMode),
+    "radial_profiles": (lambda v: radial_profiles(RadialKind.MATCHED, 1, v, 0.5), InvalidMode),
+    "steklov_mode": (lambda v: steklov_mode(1, N1, v), InvalidMode),
+    "exclusion_check": (lambda v: exclusion_check(v, 1.0, 0), DomainError),
+    "zero_in_spectrum": (lambda v: zero_in_spectrum(v, 1.0, 0), DomainError),
+}
+
+
+@pytest.mark.parametrize("name", K2_CASES)
+def test_k2_that_is_not_a_real_number_raises_the_typed_error(name):
+    # k2 is converted as theta is: a string float() refuses, None, a list
+    # and a complex number all raise the site's typed error, quoting k2.
+    call, error = K2_CASES[name]
+    for bad in ("abc", None, [3.0], 3.0 + 0.0j):
+        with pytest.raises(error, match=f"got {re.escape(repr(bad))}$"):
+            call(bad)

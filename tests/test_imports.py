@@ -1,10 +1,10 @@
 """The import graph: the production path (cli, kernel, resonances,
 classical, errors) loads no verification module, neither on import nor
-when the root queries run, a sweep process loads
-only what it runs, the package's public names resolve lazily without
-being cached and are each used by the package itself, only the kernel
-and the root scans name a private kernel member, and only the CLI sets a
-process default in os.environ."""
+when the root queries run, a sweep process loads only what it runs, a
+verify process does without numpy.random, the package's public names
+resolve lazily without being cached and are each used by the package
+itself, only the kernel and the root scans name a private kernel
+member, and only the CLI sets a process default in os.environ."""
 
 from __future__ import annotations
 
@@ -35,14 +35,18 @@ classical cli errors fd harmonics kernel radial resonances specfun spectrum veri
 VERIFICATION = {f"steklov_ball.{m}" for m in ("fd", "harmonics", "radial", "spectrum", "verify")}
 
 
-def loaded_modules(code: str) -> set[str]:
-    """The steklov_ball modules in sys.modules after `code` runs in a
-    fresh interpreter."""
+def all_loaded_modules(code: str) -> set[str]:
+    """The names in sys.modules after `code` runs in a fresh interpreter."""
     script = f"{code}\nimport json, sys\nprint(json.dumps(sorted(sys.modules)))"
     r = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
     assert r.returncode == 0, r.stderr
-    names = json.loads(r.stdout.splitlines()[-1])
-    return {name for name in names if name.split(".")[0] == "steklov_ball"}
+    return set(json.loads(r.stdout.splitlines()[-1]))
+
+
+def loaded_modules(code: str) -> set[str]:
+    """The steklov_ball modules in sys.modules after `code` runs in a
+    fresh interpreter."""
+    return {name for name in all_loaded_modules(code) if name.split(".")[0] == "steklov_ball"}
 
 
 def test_production_modules_import_no_verification_module():
@@ -72,6 +76,19 @@ def test_sweep_process_loads_only_cli_errors_and_kernel():
         "    assert cli.main(['sweep', '--l', '1:3', '--k2=-10:10', '--samples', '9']) == 0"
     )
     assert loaded == {"steklov_ball", "steklov_ball.cli", "steklov_ball.errors", "steklov_ball.kernel"}
+
+
+def test_verify_divergence_process_does_not_load_numpy_random():
+    # The divergence suite draws its points with the standard library's
+    # random module, which the interpreter has loaded already.
+    loaded = all_loaded_modules(
+        "import contextlib, io\n"
+        "from steklov_ball import cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    assert cli.main(['verify', '--suite', 'divergence']) == 0"
+    )
+    assert "steklov_ball.verify" in loaded
+    assert not {name for name in loaded if name.split(".")[:2] == ["numpy", "random"]}
 
 
 def test_public_names_and_submodules_resolve():

@@ -192,3 +192,34 @@ def test_radial_profiles_take_the_eigenvalue_domain():
             radial_profiles(kind, 2, 1e6, 1e-5)
         with pytest.raises(DomainError, match="^theta must be positive and finite, got inf$"):
             radial_profiles(kind, 2, 1.0, math.inf)
+
+
+# Radii from the series disc (|c r| < 1e-2) to the boundary, in a 2-d array.
+RADII = np.array([[1e-4, 2e-3, 0.05, 0.15, 0.33, 0.4], [0.5, 0.61, 0.75, 0.88, 0.97, 1.0]])
+
+
+@pytest.mark.parametrize("kind,l,k2,theta", [
+    (RadialKind.TOROIDAL, 3, 7.3, 1.0),
+    (RadialKind.SOLENOIDAL, 2, -9.0, 1.0),
+    (RadialKind.COMPRESSIVE, 4, 12.0, 0.5),
+    (RadialKind.MATCHED, 5, 30.0, 2.0),
+    (RadialKind.MATCHED, 1, -3.0, 0.7),
+    (RadialKind.MATCHED, 12, 400.0, 1.0),
+])
+def test_radial_functions_on_arrays_equal_scalar_calls(kind, l, k2, theta):
+    pair = radial_profiles(kind, l, k2, theta)
+    functions = [pair.phi]
+    for f in (pair.e1, pair.e2, pair.e3):
+        functions += [f, f.deriv(), f.deriv().deriv()]
+    for f in functions:
+        got = f(RADII)
+        want = np.array([[f(float(r)) for r in row] for row in RADII])
+        assert got.shape == RADII.shape
+        assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want), initial=0.0)
+
+
+def test_radial_function_on_an_array_refuses_any_nonpositive_radius():
+    f = radial_profiles(RadialKind.MATCHED, 2, 3.0).e2
+    for radii in ([0.5, 0.0], [[0.3, 0.9], [-1.0, 0.2]], [0.4, math.nan]):
+        with pytest.raises(DomainError, match="r must be positive"):
+            f(np.array(radii))

@@ -275,3 +275,36 @@ def test_run_suites_builds_each_quadrature_order_once(monkeypatch):
 def test_gauss_legendre_rejects_nonpositive():
     with pytest.raises(DomainError):
         gauss_legendre(0)
+
+
+def _lanes(rng, l):
+    # Seeded lanes: real (either side of the turning point l = |z|),
+    # imaginary up to |Im z| = 700, complex, and inside |z| < 1e-2.
+    disc = rng.uniform(0.0, 1e-2, 6) * np.exp(2j * math.pi * rng.uniform(size=6))
+    return np.concatenate([
+        rng.uniform(-250.0, 250.0, 10),
+        l + rng.uniform(-3.0, 3.0, 4),
+        1j * rng.uniform(-700.0, 700.0, 10),
+        rng.uniform(-60.0, 60.0, 10) + 1j * rng.uniform(-60.0, 60.0, 10),
+        disc, disc.real,
+        [0.0, 1e-2, 700j, -700j, 678.5j, 350.0 - 699.0j],
+    ])
+
+
+@pytest.mark.parametrize("l", [0, 1, 2, 7, 30, 99, 150, 189, 200])
+def test_array_tower_matches_the_scalar_tower_lane_by_lane(l):
+    z = _lanes(np.random.default_rng(16 + l), l)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        tower = specfun._j_all_lanes(l, z.reshape(2, -1))
+    assert tower.shape == (l + 1, 2, z.size // 2)
+    for lane, want in zip(tower.reshape(l + 1, -1).T, (sph_bessel_j_all(l, v) for v in z)):
+        assert np.max(np.abs(lane - want)) <= 1e-14 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("bad", [700.5j, -720j, 3.0 + 701j, complex(math.nan, 0.0), math.inf, complex(1.0, -math.inf)])
+def test_array_tower_raises_the_scalar_error_for_a_bad_lane(bad):
+    with pytest.raises(SteklovBallError) as scalar:
+        sph_bessel_j_all(4, bad)
+    with pytest.raises(type(scalar.value)):
+        specfun._j_all_lanes(4, np.array([[1.5, bad], [2.0j, 0.3]]))

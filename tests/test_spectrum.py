@@ -46,7 +46,7 @@ from steklov_ball import (
 from steklov_ball import fd, kernel
 from steklov_ball.harmonics import surface_quadrature, vector_A
 from steklov_ball.kernel import eigen_grid
-from steklov_ball.spectrum import _surface_sums
+from steklov_ball.spectrum import _surface_sums, _theta1_alt_rows
 from steklov_ball.verify import _WEAK_MODES
 
 # (l, k2, lambda2) -- mpmath, 40 digits
@@ -252,6 +252,35 @@ def test_lambda1_theta1_alt_resonance():
     z = bessel_zeros(2, 1).roots[0]  # j_2 zero = zero of j_{l+1} for l=1
     with pytest.raises(DirichletResonance):
         lambda1_theta1_alt(1, z * z)
+
+
+def test_theta1_alt_rows_equal_the_scalar_product_form():
+    # The form-equivalence grid plus points within 1e-13 of zeros of j_2
+    # (resonant at l = 1 as j_{l+1} and at l = 3 as j_{l-1}) and of j_6:
+    # the rows agree with lambda1_theta1_alt cell by cell and mark exactly
+    # the cells where it raises DirichletResonance.  (At a zero itself
+    # the tower may return j = 0, and both raise DomainError.)
+    planted = [(z * (1.0 + 1e-13)) ** 2 for l in (2, 6) for z in bessel_zeros(l, 2).roots]
+    k2s = np.concatenate([np.linspace(-50.0, 50.0, 101), planted])
+    k2s = k2s[k2s != 0.0]
+    values, resonant = _theta1_alt_rows(1, 10, k2s)
+    assert values.shape == resonant.shape == (10, k2s.size)
+    skipped = 0
+    for l, row, row_resonant in zip(range(1, 11), values, resonant):
+        for k2, value, is_resonant in zip(k2s.tolist(), row, row_resonant):
+            try:
+                want = lambda1_theta1_alt(l, k2)
+            except DirichletResonance:
+                assert is_resonant, (l, k2)
+                skipped += 1
+                continue
+            assert not is_resonant, (l, k2)
+            # The rows read a tower of order 11, a one-cell call one of
+            # order l + 1, which may take the other branch: the cells agree
+            # to rounding, amplified by the condition number near a pole,
+            # and absolutely near a zero of j_l (planted for j_6 at l = 6).
+            assert value == pytest.approx(want, rel=1e-12, abs=1e-12), (l, k2)
+    assert skipped >= 4
 
 
 MODE_GRID = [
