@@ -17,12 +17,11 @@ involved anywhere in the residual evaluations built on top of this.
 from __future__ import annotations
 
 import cmath
-import functools
 import math
 import sys
 from dataclasses import dataclass
 from enum import Enum
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
 
@@ -196,7 +195,7 @@ def _sample(funcs, r) -> list[np.ndarray]:
     r = np.asarray(r, dtype=float)
     if not np.all(r > 0.0):
         raise DomainError(f"r must be positive, got {float(r[~(r > 0.0)][0])!r}")
-    power = functools.cache(lambda p: _pow(r, p))
+    power = cache(lambda p: _pow(r, p))
     pairs: dict[tuple[int, complex], tuple[np.ndarray, np.ndarray]] = {}
     out = []
     for f in funcs:
