@@ -297,7 +297,7 @@ def check_vector_laplacian(tau: int, n: ModeIndex, p: BallPoint, h: float) -> fl
     parts = [
         vector_A(t, n, p.direction) * c
         for t, c in zip((1, 2, 3), coeffs)
-        if c != 0.0 and not (t in (1, 2) and n.l == 0)
+        if c != 0.0
     ]
     exact = np.zeros(3)
     for part in parts:

@@ -68,7 +68,10 @@ def eigen_grid(family: int, l_lo: int, l_hi: int, k2s, theta: float = 1.0):
     degrees that damp the error of Debye's fixed point below roundoff; so
     a cell equals lambda1/lambda2 bit for bit, in any grid.
     """
-    k2 = np.asarray(k2s, dtype=float)
+    k2 = np.asarray(k2s)
+    if k2.dtype.kind not in "biuf":
+        raise InvalidMode(f"k2s must be real numbers, got {k2s!r}")
+    k2 = k2.astype(float, copy=False)
     family = _choice(family, "family", (1, 2))
     l_lo, l_hi = (_integer(l, "degree l", -math.inf) for l in (l_lo, l_hi))
     if l_lo > l_hi:

@@ -1,16 +1,18 @@
 """Closed-form radial profiles and their exact derivative algebra.
 
-Every radial coefficient used by the eigenfields has the shape
+Every radial coefficient used by the eigenfields is a finite sum of
+terms
 
-    f(r) = sum over terms of  alpha(r) j_l(c r) + beta(r) j_l'(c r),
+    coef r^p j_l(c r)   and   coef r^p j_l'(c r),
 
-with alpha, beta Laurent polynomials in r and c a (possibly complex)
-wavenumber.  Differentiation closes on this class once j_l'' is
-eliminated through the spherical Bessel equation
+each keyed by its wavenumber c (possibly complex), its derivative order
+d in {0, 1} and its integer power p.  Differentiation closes on this
+class once j_l'' is eliminated through the spherical Bessel equation
 
     j_l''(z) = -(2/z) j_l'(z) - (1 - l(l+1)/z^2) j_l(z),
 
-so arbitrarily high derivatives stay exact: no finite differences are
+so each term's derivative is two or three terms of the same shape and
+arbitrarily high derivatives stay exact: no finite differences are
 involved anywhere in the residual evaluations built on top of this.
 """
 
@@ -25,7 +27,7 @@ from functools import cache, cached_property
 
 import numpy as np
 
-from .errors import DirichletResonance, DomainError, NotRepresentable, _validate_eig_args
+from .errors import DirichletResonance, DomainError, NotRepresentable, _positive, _validate_eig_args
 from .specfun import _j_and_deriv, _j_pair_lanes, _pow
 
 __all__ = [
@@ -55,47 +57,16 @@ class RadialKind(Enum):
     MATCHED = "matched"
 
 
-Poly = tuple[tuple[int, complex], ...]  # Laurent polynomial: ((power, coef), ...)
-
-
-def _poly(d: dict[int, complex]) -> Poly:
-    return tuple(sorted((int(p), complex(c)) for p, c in d.items() if c != 0))
-
-
-def _poly_add(a: Poly, b: Poly) -> Poly:
-    out = dict(a)
-    for p, c in b:
-        out[p] = out.get(p, 0.0) + c
-    return _poly(out)
-
-
-def _poly_scale(a: Poly, s: complex) -> Poly:
-    return _poly({p: c * s for p, c in a})
-
-
-def _poly_shift(a: Poly, s: complex, dp: int) -> Poly:
-    # multiply by s * r^dp
-    return _poly({p + dp: c * s for p, c in a})
-
-
-def _poly_deriv(a: Poly) -> Poly:
-    return _poly({p - 1: c * p for p, c in a if p != 0})
-
-
-def _poly_eval(a: Poly, r: float) -> complex:
-    return sum((c * r**p for p, c in a), 0.0 + 0.0j)
-
-
 @dataclass(frozen=True)
 class RadialFunction:
-    """Finite sum of Laurent-weighted j_l and j_l' terms of one degree l.
+    """Finite sum of r^p j_l(c r) and r^p j_l'(c r) terms of one degree l.
 
-    ``terms`` maps each wavenumber c to a pair of Laurent polynomials
-    (alpha, beta) meaning alpha(r) j_l(c r) + beta(r) j_l'(c r).
+    ``terms`` holds ``((c, d, p), coef)`` pairs, each meaning
+    coef r^p j_l^(d)(c r): d = 0 for j_l and d = 1 for j_l'.
     """
 
     l: int
-    terms: tuple[tuple[complex, Poly, Poly], ...]
+    terms: tuple[tuple[tuple[complex, int, int], complex], ...]
 
     @classmethod
     def zero(cls, l: int) -> "RadialFunction":
@@ -103,89 +74,68 @@ class RadialFunction:
 
     @classmethod
     def build(cls, l: int, c: complex, alpha: dict | None = None, beta: dict | None = None) -> "RadialFunction":
+        """sum_p alpha[p] r^p j_l(c r) + sum_p beta[p] r^p j_l'(c r)."""
         if c == 0:
             raise DomainError("wavenumber of a radial term must be nonzero")
-        return cls(
-            l=l,
-            terms=((complex(c), _poly(alpha or {}), _poly(beta or {})),),
-        )
+        c = complex(c)
+        pairs = [((c, 0, int(p)), coef) for p, coef in (alpha or {}).items()]
+        pairs += [((c, 1, int(p)), coef) for p, coef in (beta or {}).items()]
+        return _collect(l, pairs)
 
     def __call__(self, r):
         """f at a radius r > 0, or at every entry of an array of radii."""
-        if not isinstance(r, float) and np.ndim(r):
-            return _sample((self,), r)[0]
-        r = float(r)
-        if not (r > 0.0):
-            raise DomainError(f"r must be positive, got {r!r}")
-        total = 0.0 + 0.0j
-        for c, alpha, beta in self.terms:
-            j, jp = _j_and_deriv(self.l, c * r)
-            total += _poly_eval(alpha, r) * j + _poly_eval(beta, r) * jp
-        return total
+        if not (isinstance(r, float) and r > 0.0):
+            if np.ndim(r):
+                return _sample((self,), r)[0]
+            r = _positive(r, "r")
+        return sum((coef * r**p * _j_and_deriv(self.l, c * r)[d] for (c, d, p), coef in self.terms), 0j)
 
     def deriv(self) -> "RadialFunction":
         """Exact derivative, closed under the spherical Bessel equation.
 
         Built once per instance: every later call returns the same object,
-        so a chain f.deriv().deriv() costs its polynomial algebra once."""
+        so a chain f.deriv().deriv() costs its algebra once."""
         return self._deriv
 
     @cached_property
     def _deriv(self) -> "RadialFunction":
+        # (r^p j)'  = p r^(p-1) j + c r^p j'
+        # (r^p j')' = (p-2) r^(p-1) j' - c r^p j + (l(l+1)/c) r^(p-2) j,
+        # the second through j'' = -(2/z) j' - (1 - l(l+1)/z^2) j at z = c r.
         big_l = self.l * (self.l + 1)
-        new_terms = []
-        for c, alpha, beta in self.terms:
-            # d/dr [alpha j_l(cr)]        = alpha' j_l + alpha c j_l'
-            # d/dr [beta  j_l'(cr)] via the Bessel equation at z = c r:
-            #   = (beta' - 2 beta / r) j_l' + (-beta c + beta l(l+1)/(c r^2)) j_l
-            new_alpha = _poly_add(
-                _poly_deriv(alpha),
-                _poly_add(_poly_scale(beta, -c), _poly_shift(beta, big_l / c, -2)),
-            )
-            new_beta = _poly_add(
-                _poly_scale(alpha, c),
-                _poly_add(_poly_deriv(beta), _poly_shift(beta, -2.0, -1)),
-            )
-            new_terms.append((c, new_alpha, new_beta))
-        return RadialFunction(l=self.l, terms=tuple(new_terms))
+        pairs = []
+        for (c, d, p), coef in self.terms:
+            if d == 0:
+                pairs += [((c, 0, p - 1), p * coef), ((c, 1, p), c * coef)]
+            else:
+                pairs += [
+                    ((c, 1, p - 1), (p - 2) * coef),
+                    ((c, 0, p), -c * coef),
+                    ((c, 0, p - 2), big_l / c * coef),
+                ]
+        return _collect(self.l, pairs)
 
     def scaled(self, factor: complex) -> "RadialFunction":
-        return RadialFunction(
-            l=self.l,
-            terms=tuple(
-                (c, _poly_scale(alpha, factor), _poly_scale(beta, factor))
-                for c, alpha, beta in self.terms
-            ),
-        )
+        return _collect(self.l, ((key, coef * factor) for key, coef in self.terms))
 
     def times_power(self, coef: complex, power: int) -> "RadialFunction":
         """Multiply by coef * r^power."""
-        return RadialFunction(
-            l=self.l,
-            terms=tuple(
-                (c, _poly_shift(alpha, coef, power), _poly_shift(beta, coef, power))
-                for c, alpha, beta in self.terms
-            ),
-        )
+        return _collect(self.l, (((c, d, p + power), a * coef) for (c, d, p), a in self.terms))
 
     def __add__(self, other: "RadialFunction") -> "RadialFunction":
         if not isinstance(other, RadialFunction):
             return NotImplemented
         if other.l != self.l:
             raise DomainError("cannot add radial functions of different degree")
-        merged: dict[complex, tuple[Poly, Poly]] = {}
-        for c, alpha, beta in self.terms + other.terms:
-            if c in merged:
-                a0, b0 = merged[c]
-                merged[c] = (_poly_add(a0, alpha), _poly_add(b0, beta))
-            else:
-                merged[c] = (alpha, beta)
-        terms = tuple(
-            (c, a, b)
-            for c, (a, b) in merged.items()
-            if a or b
-        )
-        return RadialFunction(l=self.l, terms=terms)
+        return _collect(self.l, self.terms + other.terms)
+
+
+def _collect(l: int, pairs) -> RadialFunction:
+    # The (key, coef) pairs as one function: equal keys summed, zeros dropped.
+    merged: dict[tuple[complex, int, int], complex] = {}
+    for key, coef in pairs:
+        merged[key] = merged.get(key, 0.0) + coef
+    return RadialFunction(l=l, terms=tuple((key, complex(coef)) for key, coef in merged.items() if coef != 0))
 
 
 def _sample(funcs, r) -> list[np.ndarray]:
@@ -200,12 +150,10 @@ def _sample(funcs, r) -> list[np.ndarray]:
     out = []
     for f in funcs:
         total = np.zeros(r.shape, dtype=complex)
-        for c, alpha, beta in f.terms:
+        for (c, d, p), coef in f.terms:
             if (f.l, c) not in pairs:
                 pairs[f.l, c] = _j_pair_lanes(f.l, c * r)
-            j, jp = pairs[f.l, c]
-            a, b = (sum((coef * power(p) for p, coef in poly), 0.0 + 0.0j) for poly in (alpha, beta))
-            total = total + (a * j + b * jp)
+            total = total + coef * power(p) * pairs[f.l, c][d]
         out.append(total)
     return out
 

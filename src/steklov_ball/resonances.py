@@ -40,6 +40,7 @@ invisible to sign changes, but the targeted functions have none.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Callable
 
@@ -156,7 +157,10 @@ def _family1(
     lower bound of its first root, the local step and the filter that
     drops roots at zeros of j_l(k) itself, where the eigenfield
     combination is undefined (and the eigenvalue has a removable zero,
-    not a pole)."""
+    not a pole).  The filter is the rule of `radial_profiles`: the
+    relative Newton-step test |j_l(k)| >= 1e-12 |k j_l'(k)|, which keeps
+    the poles below k = l where j_l(k) and k j_l'(k) are both tiny, and a
+    normal j_l(k), without which D's terms are subnormal noise."""
     sq = math.sqrt(theta)
     big_l = l * (l + 1)
     cap = min(_STEP, _STEP * sq)
@@ -175,7 +179,7 @@ def _family1(
 
     def off_bessel_zero(k: float) -> bool:
         jk, jkp = _jl_pair(l, k)
-        return abs(jk) >= 1e-12 * max(1.0, abs(k * jkp))
+        return abs(jk) >= max(sys.float_info.min, 1e-12 * abs(k * jkp))
 
     return scaled_den, (l - 1) * min(1.0, sq), step, off_bessel_zero
 

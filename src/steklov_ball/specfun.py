@@ -189,7 +189,7 @@ def _over(z: np.ndarray):
     # m -> m / z for a real m, rounded as Python's (m u) / denom and (m v) /
     # denom, not through numpy's rounded reciprocal: so real lanes keep the
     # scalar tower's bits, which the upward recurrence near l = |z| and the
-    # radial algebra's Laurent terms at small r would amplify.
+    # radial algebra's negative powers of r at small r would amplify.
     wide = np.abs(z.real) >= np.abs(z.imag)
     ratio = np.where(wide, z.imag / z.real, z.real / z.imag)
     denom = np.where(wide, z.real + z.imag * ratio, z.real * ratio + z.imag)[..., None]

@@ -43,6 +43,8 @@ from .errors import (
     QuadratureTooCoarse,
     _choice,
     _integer,
+    _positive,
+    _real,
     _validate_eig_args,
 )
 from .harmonics import (
@@ -220,9 +222,7 @@ def residual_system(pair: RadialPair, r: float) -> tuple[float, float]:
     solution yields values near machine epsilon regardless of scale;
     terms that are all 0 or not all finite raise NotRepresentable.
     """
-    r = float(r)
-    if not (r > 0.0):
-        raise DomainError(f"r must be positive, got {r!r}")
+    r = _positive(r, "r")
     k2 = pair.k2
     big_l = pair.l * (pair.l + 1)
     root = math.sqrt(big_l)
@@ -272,6 +272,10 @@ def residual_fourth_order(l: int, k2: float, r: float, e3: RadialFunction) -> fl
     l = _integer(l, "degree l", 1, _L_MAX)
     if e3.l != l:
         raise InvalidMode(f"radial function has degree {e3.l}, expected {l}")
+    number = _real(k2)
+    if not math.isfinite(number):
+        raise DomainError(f"k2 must be a finite real number, got {k2!r}")
+    k2 = number
     big_l = l * (l + 1)
     first = bessel_operator(e3, k2)
     second = bessel_operator(first, k2)

@@ -35,6 +35,7 @@ from steklov_ball import (
     neumann_zeros,
     radial_profiles,
     residual_fourth_order,
+    residual_system,
     run_suites,
     sph_bessel_j,
     sph_bessel_j_all,
@@ -126,6 +127,7 @@ K2_CASES = {
     "steklov_mode": (lambda v: steklov_mode(1, N1, v), InvalidMode),
     "exclusion_check": (lambda v: exclusion_check(v, 1.0, 0), DomainError),
     "zero_in_spectrum": (lambda v: zero_in_spectrum(v, 1.0, 0), DomainError),
+    "residual_fourth_order": (lambda v: residual_fourth_order(2, v, 0.5, E3), DomainError),
 }
 
 
@@ -136,4 +138,23 @@ def test_k2_that_is_not_a_real_number_raises_the_typed_error(name):
     call, error = K2_CASES[name]
     for bad in ("abc", None, [3.0], 3.0 + 0.0j):
         with pytest.raises(error, match=f"got {re.escape(repr(bad))}$"):
+            call(bad)
+
+
+# name -> (call with a radius or one k2s entry, the typed error)
+POINT_CASES = {
+    "RadialFunction": (E3, DomainError),
+    "residual_system": (lambda v: residual_system(MODE.radial, v), DomainError),
+    "residual_fourth_order": (lambda v: residual_fourth_order(2, 3.0, v, E3), DomainError),
+    "eigen_grid": (lambda v: eigen_grid(1, 1, 2, [v]), InvalidMode),
+}
+
+
+@pytest.mark.parametrize("name", POINT_CASES)
+def test_radius_or_k2s_entry_that_is_not_a_real_number_raises_the_typed_error(name):
+    # As r <= 0 does for a radius; the message quotes the value (eigen_grid
+    # quotes the whole k2s list).
+    call, error = POINT_CASES[name]
+    for bad in ("abc", None, 3.0 + 0.0j):
+        with pytest.raises(error, match=re.escape(repr(bad))):
             call(bad)

@@ -7,6 +7,7 @@ by Newton refinement of the same defining functions.
 from __future__ import annotations
 
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -240,6 +241,61 @@ def test_known_window_and_step_defects_are_fixed():
     assert not clear
     square = min((r * r for r in family1_resonances(1, theta, 20).roots), key=lambda s: abs(s - k2))
     assert nearest == pytest.approx(square, rel=1e-12)
+
+
+def _family1_denominator(mpmath, l: int, theta: float, k: float):
+    # D(k) of `family1_resonances` at 60 digits, j_l from mpmath's besselj
+    # and j_l' = j_{l-1} - (l+1)/z j_l.
+    with mpmath.workdps(60):
+        k = mpmath.mpf(k)
+        sq = mpmath.sqrt(mpmath.mpf(theta))
+
+        def pair(z):
+            j = lambda n: mpmath.sqrt(mpmath.pi / (2 * z)) * mpmath.besselj(n + mpmath.mpf(1) / 2, z)
+            jl = j(l)
+            return jl, j(l - 1) - (l + 1) / z * jl
+
+        (jk, jkp), (jq, jqp) = pair(k), pair(k / sq)
+        return jq * jk * l * (l + 1) - jqp * jkp * k**2 / sq - jqp * jk * k / sq
+
+
+@pytest.mark.parametrize("theta,want", [
+    (3e-3, (1.005036614217729,)),
+    (1e-3, (0.5802979846299319, 0.7126523270705051, 0.8318776165229468)),
+])
+def test_family1_small_theta_roots_are_the_first_sign_changes(theta, want):
+    # Below k = l, j_l(k) and k j_l'(k) are both tiny, so an absolute
+    # floor in the j_l-zero filter dropped these real poles.  Each root is
+    # a sign change of D across k(1 +- 1e-9), and a fine grid from the
+    # scan's lower bound (l - 1) sqrt(theta) finds no other one before it,
+    # so the roots keep their index.
+    mpmath = pytest.importorskip("mpmath")
+    l = 12
+    roots = family1_resonances(l, theta, len(want)).roots
+    assert roots == pytest.approx(want, rel=1e-12)
+    lo = (l - 1) * math.sqrt(theta)
+    top = roots[-1] * (1 + 1e-9)
+    brackets = [root * (1 + s * 1e-9) for root in roots for s in (-1, 1)]
+    points = sorted([lo + (top - lo) * i / 200 for i in range(201)] + brackets)
+    signs = [_family1_denominator(mpmath, l, theta, k) > 0 for k in points]
+    changes = [(a, b) for a, b, sa, sb in zip(points, points[1:], signs, signs[1:]) if sa != sb]
+    assert changes == list(zip(brackets[::2], brackets[1::2]))
+    clear, nearest = exclusion_check(roots[0] ** 2, theta, l)
+    assert not clear and nearest == pytest.approx(roots[0] ** 2, rel=1e-12)
+
+
+def test_family1_keeps_no_root_where_j_l_is_subnormal():
+    # At l = 200, theta = 1e-4, j_200(k) is subnormal below k = 4.38, and
+    # the float terms of D there are noise with sign changes of their own
+    # (one at k = 3.706 where D < 0 on both sides).  The filter drops them;
+    # every root kept is a sign change of D at 60 digits.  The poles below
+    # 4.38, such as k = 2.1255574, are still missed.
+    mpmath = pytest.importorskip("mpmath")
+    l, theta = 200, 1e-4
+    for root in family1_resonances(l, theta, 3).roots:
+        assert abs(sph_bessel_j(l, root)) >= sys.float_info.min
+        low, high = (_family1_denominator(mpmath, l, theta, root * (1 + s * 1e-9)) for s in (-1, 1))
+        assert (low > 0) != (high > 0), root
 
 
 def test_exclusion_check_clear_point():

@@ -331,6 +331,33 @@ def test_fourth_order_factorization():
             assert residual_fourth_order(l, k2, r, pair.e3) <= 1e-10
 
 
+@pytest.mark.parametrize("l,k2,theta", [(5, 30.0, 2.0), (1, -3.0, 0.7)])
+def test_radial_derivatives_match_mpmath_diff_of_the_closed_form(l, k2, theta):
+    # f', f'' and f'''' of the MATCHED e3 from the radial algebra against
+    # mpmath's numerical derivatives of its closed form
+    # e3 = a l(l+1) j_l(k r)/r + q j_l'(q r), a = -j_l'(q) q / (j_l(k) l(l+1)),
+    # built from mpmath's besselj alone.  At r = 0.2 the terms of the fourth
+    # derivative (powers down to r^-5) cancel to 5e-5 of the largest, which
+    # costs about four of the sixteen digits.
+    mpmath = pytest.importorskip("mpmath")
+    e3 = radial_profiles(RadialKind.MATCHED, l, k2, theta).e3
+    d1 = e3.deriv()
+    d2 = d1.deriv()
+    derivatives = {1: d1, 2: d2, 4: d2.deriv().deriv()}
+    with mpmath.workdps(40):
+        big_l = l * (l + 1)
+        k = mpmath.sqrt(mpmath.mpc(k2))
+        q = k / mpmath.sqrt(theta)
+        j = lambda n, z: mpmath.sqrt(mpmath.pi / (2 * z)) * mpmath.besselj(n + mpmath.mpf(1) / 2, z)
+        jp = lambda z: j(l - 1, z) - (l + 1) / z * j(l, z)
+        a = -jp(q) * q / (j(l, k) * big_l)
+        closed = lambda r: a * big_l * j(l, k * r) / r + q * jp(q * r)
+        for r in (0.2, 0.6, 1.0):
+            for order, f in derivatives.items():
+                want = complex(mpmath.diff(closed, mpmath.mpf(r), order))
+                assert abs(f(r) - want) <= 3e-11 * abs(want), (r, order)
+
+
 def test_divergence_dichotomy_pointwise():
     rng = np.random.default_rng(20240817)
     pts = [
