@@ -6,11 +6,11 @@ parameters, 3 for the excluded parameter k^2 = 0.
 
 Every command is deterministic for fixed flags.  `eigs` and `sweep`
 evaluate their whole table in one vectorized pass of the eigenvalue
-kernel (`kernel.eigen_grid`) and render it from the grid, and a cell's
-bytes do not depend on the rest of the table.  Resonant cells are marked
-with the explicit token RES; no command ever prints NaN or Inf.  The
-other commands import their modules when they run, so that `eigs` and
-`sweep` load only the kernel.
+kernel (`kernel.eigen_grid`) and write it from the grid a degree at a
+time; a cell's bytes do not depend on the rest of the table.  Resonant
+cells are marked with the explicit token RES; no command ever prints NaN
+or Inf.  The other commands import their modules when they run, so that
+`eigs` and `sweep` load only the kernel.
 """
 
 from __future__ import annotations
@@ -21,6 +21,7 @@ import json
 import math
 import os
 import sys
+from collections.abc import Iterable, Iterator
 from pathlib import Path
 
 # No command does BLAS work worth a second thread, and OpenBLAS starts one
@@ -39,6 +40,7 @@ _KINDS = ("bessel", "neumann", "magnetic", "family1")
 _TABLE_HEADER = "family,l,theta,k2,lambda,status"
 _MAX_SAMPLES = 100_000
 _MAX_THREADS = 64
+_CHUNK_CELLS = 4096  # table cells per written chunk
 
 
 def _fmt(x: float) -> str:
@@ -228,12 +230,19 @@ def _json(payload: dict) -> str:
     return json.dumps(payload, indent=2, allow_nan=False) + "\n"
 
 
-def _emit(text: str, out: str | None) -> None:
+def _emit(chunks: Iterable[str], out: str | None) -> None:
+    """Write a command's output chunk by chunk to stdout or the --out file;
+    a reader that closes stdout early ends the output quietly."""
     if not out:
-        sys.stdout.write(text)
+        try:
+            sys.stdout.writelines(chunks)
+            sys.stdout.flush()
+        except BrokenPipeError:
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return
     try:
-        Path(out).write_text(text)
+        with open(out, "w") as file:
+            file.writelines(chunks)
     except OSError as exc:
         raise SteklovBallError(f"cannot write --out file: {exc}") from None
 
@@ -258,26 +267,29 @@ _TABLE_PARTS = {
 
 
 def _table_text(fmt: str, family: int, theta: float, degrees: range, k2s: list[float],
-                values: np.ndarray, ok: np.ndarray) -> str:
+                values: np.ndarray, ok: np.ndarray) -> Iterator[str]:
     """The eigs/sweep table of `eigen_grid`'s (values, ok), degrees by k2s,
-    in the bytes of per-cell _fmt lines or of json.dumps(indent=2).
-
-    Theta and each k2 are formatted once per table, and each degree's OK
-    values in one %-operation.
+    in the bytes of per-cell _fmt lines or of json.dumps(indent=2), as the
+    header, one chunk per degree and block of _CHUNK_CELLS k2s, and the
+    trailer.  Theta and each k2 are formatted once per table, and a chunk's
+    OK values in one %-operation when the writer asks for that chunk.
     """
     num = _fmt if fmt == "csv" else repr
     lead, ok_rest, res_rest = _TABLE_PARTS[fmt]
     theta_text = num(theta)
-    rests = [(ok_rest.format(k2=num(k2)), res_rest.format(k2=num(k2))) for k2 in k2s]
-    body = []
-    for l, row_values, row_ok in zip(degrees, values.tolist(), ok.tolist()):
+    oks = [ok_rest.format(k2=num(k2)) for k2 in k2s]
+    yield _TABLE_HEADER if fmt == "csv" else '{\n  "rows": ['
+    cut = int(fmt == "json")  # the first row's lead comma
+    for l, row_values, row_ok in zip(degrees, values, ok):
         row_lead = lead.format(family=family, l=l, theta=theta_text)
-        template = "".join([row_lead + rest[not good] for rest, good in zip(rests, row_ok)])
-        body.append(template % tuple([value for value, good in zip(row_values, row_ok) if good]))
-    text = "".join(body)
-    if fmt == "csv":
-        return f"{_TABLE_HEADER}{text}\n"
-    return '{\n  "rows": [' + text[1:] + ("\n  ]\n}\n" if text else "]\n}\n")
+        for lo in range(0, len(k2s), _CHUNK_CELLS):
+            block = slice(lo, lo + _CHUNK_CELLS)
+            goods = row_ok[block].tolist()
+            cells = (text if good else res_rest.format(k2=num(k2))
+                     for text, k2, good in zip(oks[block], k2s[block], goods))
+            yield (row_lead.join(["", *cells]) % tuple(row_values[block][row_ok[block]].tolist()))[cut:]
+            cut = 0
+    yield "\n" if fmt == "csv" else ("\n  ]\n}\n" if values.size else "]\n}\n")
 
 
 def _emit_grid(ns: argparse.Namespace, l_lo: int, l_hi: int, k2s: list[float]) -> None:
@@ -324,7 +336,7 @@ def cmd_zeros(ns: argparse.Namespace) -> int:
     else:
         text = _json({"kind": roots.tag, "l": roots.l, "theta": roots.theta,
                       "roots": list(roots.roots), "residuals": list(roots.residuals)})
-    _emit(text, ns.out)
+    _emit((text,), ns.out)
     return 0
 
 
@@ -342,7 +354,7 @@ def cmd_classical(ns: argparse.Namespace) -> int:
     else:
         keys = ("dim", "radius", "rank", "degree", "eigenvalue", "multiplicity")
         text = _json({"rows": [dict(zip(keys, row)) for row in rows]})
-    _emit(text, ns.out)
+    _emit((text,), ns.out)
     return 0
 
 
@@ -357,7 +369,7 @@ def cmd_verify(ns: argparse.Namespace) -> int:
         ))
     else:
         text = _json(report.to_dict())
-    _emit(text, ns.out)
+    _emit((text,), ns.out)
     return 0 if report.passed else 1
 
 

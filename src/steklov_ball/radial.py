@@ -84,7 +84,7 @@ class RadialFunction:
 
     def __call__(self, r):
         """f at a radius r > 0, or at every entry of an array of radii."""
-        if not (isinstance(r, float) and r > 0.0):
+        if not (isinstance(r, float) and 0.0 < r < math.inf):
             if np.ndim(r):
                 return _sample((self,), r)[0]
             r = _positive(r, "r")
@@ -139,12 +139,12 @@ def _collect(l: int, pairs) -> RadialFunction:
 
 
 def _sample(funcs, r) -> list[np.ndarray]:
-    # Each radial function at every entry of an array of radii r > 0, with
-    # one tower per (degree, wavenumber) and one r**p per power for them
-    # all; float's power rounds r**p as a scalar call does.
+    # Each radial function at every entry of an array of finite radii
+    # r > 0, with one tower per (degree, wavenumber) and one r**p per power
+    # for them all; float's power rounds r**p as a scalar call does.
     r = np.asarray(r, dtype=float)
-    if not np.all(r > 0.0):
-        raise DomainError(f"r must be positive, got {float(r[~(r > 0.0)][0])!r}")
+    if not np.all(good := (0.0 < r) & (r < math.inf)):
+        raise DomainError(f"r must be positive and finite, got {float(r[~good][0])!r}")
     power = cache(lambda p: _pow(r, p))
     pairs: dict[tuple[int, complex], tuple[np.ndarray, np.ndarray]] = {}
     out = []

@@ -7,6 +7,7 @@ selector follows the same rule within its set."""
 from __future__ import annotations
 
 import dataclasses
+import math
 import pickle
 import re
 
@@ -158,3 +159,12 @@ def test_radius_or_k2s_entry_that_is_not_a_real_number_raises_the_typed_error(na
     for bad in ("abc", None, 3.0 + 0.0j):
         with pytest.raises(error, match=re.escape(repr(bad))):
             call(bad)
+
+
+def test_radius_that_is_not_finite_is_refused_by_name():
+    # A float inf once passed RadialFunction's fast path and failed in the
+    # Bessel tower with a message that named neither r nor its value.
+    for call in (E3, lambda v: E3(np.array([0.5, v])), lambda v: residual_system(MODE.radial, v)):
+        for bad in (math.inf, math.nan):
+            with pytest.raises(DomainError, match=f"^r must be positive and finite, got {bad!r}$"):
+                call(bad)

@@ -19,7 +19,7 @@ import pytest
 jsonschema = pytest.importorskip("jsonschema")
 
 import steklov_ball
-from steklov_ball.cli import _table_text
+from steklov_ball.cli import _CHUNK_CELLS, _table_text
 
 SCHEMAS = json.loads(
     (Path(steklov_ball.__file__).parent / "schemas" / "output_schemas.json").read_text()
@@ -36,6 +36,10 @@ def run_cli(*args, env_extra=None):
         text=True,
         env=env,
     )
+
+
+def table_text(*grid) -> str:
+    return "".join(_table_text(*grid))
 
 
 def validate(payload: dict, name: str) -> None:
@@ -227,11 +231,11 @@ def test_table_text_golden_bytes():
             family, theta, range(l, l + 1), [k2],
             np.array([[math.nan if value is None else value]]), np.array([[status == "OK"]]),
         )
-        assert _table_text("csv", *grid) == f"family,l,theta,k2,lambda,status\n{csv_line}\n"
-        assert _table_text("json", *grid) == f'{{\n  "rows": [\n{json_row}\n  ]\n}}\n'
+        assert table_text("csv", *grid) == f"family,l,theta,k2,lambda,status\n{csv_line}\n"
+        assert table_text("json", *grid) == f'{{\n  "rows": [\n{json_row}\n  ]\n}}\n'
     empty = (1, 1.0, range(1, 1), [], np.empty((0, 0)), np.empty((0, 0), dtype=bool))
-    assert _table_text("csv", *empty) == "family,l,theta,k2,lambda,status\n"
-    assert _table_text("json", *empty) == '{\n  "rows": []\n}\n'
+    assert table_text("csv", *empty) == "family,l,theta,k2,lambda,status\n"
+    assert table_text("json", *empty) == '{\n  "rows": []\n}\n'
 
 
 def _table_oracle(fmt, family, theta, degrees, k2s, values, ok) -> str:
@@ -265,7 +269,16 @@ def test_table_text_matches_per_cell_formatting():
     assert edge_ok.any() and not edge_ok[:, 3].any() and not edge_ok[4, 5]
     for grid in grids:
         for fmt in ("csv", "json"):
-            assert _table_text(fmt, *grid) == _table_oracle(fmt, *grid), (fmt, grid[:2])
+            assert table_text(fmt, *grid) == _table_oracle(fmt, *grid), (fmt, grid[:2])
+
+
+def test_table_text_chunks_are_blocks_of_one_degree():
+    k2s = np.linspace(-30.0, 30.0, 2 * _CHUNK_CELLS + 1).tolist()
+    grid = (2, 1.0, range(1, 4), k2s, *steklov_ball.kernel.eigen_grid(2, 1, 3, k2s))
+    for fmt in ("csv", "json"):
+        chunks = list(_table_text(fmt, *grid))
+        assert len(chunks) == 2 + 3 * 3  # header, three blocks per degree, trailer
+        assert "".join(chunks) == _table_oracle(fmt, *grid)
 
 
 def test_sweep_thread_count_invariance():
@@ -400,6 +413,87 @@ def test_out_flag_writes_file(tmp_path):
     assert r.stdout == ""
     text = out.read_text()
     assert text.startswith("family,l,theta,k2,lambda,status")
+
+
+@pytest.mark.parametrize("args", [
+    ("eigs", "--family", "1", "--l-max", "5", "--k2", "-7.5", "--theta", "0.5"),
+    ("sweep", "--l", "1:3", "--k2", "-30:30", "--samples", str(_CHUNK_CELLS + 7)),
+    ("sweep", "--l", "1:3", "--k2", "-30:30", "--samples", str(_CHUNK_CELLS + 7), "--format", "json"),
+    ("zeros", "--kind", "family1", "--l", "3", "--count", "4", "--format", "json"),
+    ("classical", "--dim", "4", "--count", "9"),
+])
+def test_out_file_holds_the_stdout_bytes(tmp_path, args):
+    out = tmp_path / "table.txt"
+    to_stdout = subprocess.run([sys.executable, "-m", "steklov_ball.cli", *args], capture_output=True)
+    to_file = run_cli(*args, "--out", str(out))
+    assert to_stdout.returncode == to_file.returncode == 0
+    assert to_file.stdout == to_file.stderr == ""
+    assert out.read_bytes() == to_stdout.stdout
+
+
+def test_out_file_is_not_made_when_the_command_fails_first(tmp_path):
+    out = tmp_path / "table.txt"
+    for args, code in (
+        (["sweep", "--k2", "0:0"], 3),
+        (["eigs", "--k2", "0"], 3),
+        (["eigs", "--k2", "1", "--l-max", "0"], 2),
+        (["sweep", "--l", "1:2", "--k2", "1:2", "--samples", "0"], 2),
+        (["zeros", "--kind", "bessel", "--l", "201"], 2),
+    ):
+        r = run_cli(*args, "--out", str(out))
+        assert r.returncode == code, args
+        assert not out.exists(), args
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+def test_out_file_write_error_exits_2():
+    # /dev/full opens, and every write to it fails with ENOSPC
+    r = run_cli("sweep", "--l", "1:3", "--k2", "-30:30", "--samples", "501", "--out", "/dev/full")
+    assert r.returncode == 2
+    assert r.stderr.startswith("error: cannot write --out file: ") and "Traceback" not in r.stderr
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_reader_that_closes_stdout_early_ends_the_output_quietly(fmt):
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "steklov_ball.cli", "sweep", "--l", "1:10", "--k2", "-100:100",
+         "--samples", "20000", "--format", fmt],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+    )
+    head = proc.stdout.read(100)
+    proc.stdout.close()
+    stderr = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait() == 0 and stderr == b""
+    assert head.startswith(b"family,l,theta" if fmt == "csv" else b'{\n  "rows": [')
+
+
+# A child's ru_maxrss starts from the high-water mark of the memory it was
+# started in: a fork or posix_spawn of this pytest process would report
+# pytest's size.  So a small interpreter spawns the command and reports it.
+_SPAWN = """
+import os, sys
+pid = os.posix_spawn(sys.executable, [sys.executable, "-m", "steklov_ball.cli", *sys.argv[1:]],
+                     os.environ, file_actions=[(os.POSIX_SPAWN_OPEN, 1, os.devnull, os.O_WRONLY, 0)])
+_, status, usage = os.wait4(pid, 0)
+print(usage.ru_maxrss, os.waitstatus_to_exitcode(status))
+"""
+
+
+def _peak_rss_mb(*args) -> tuple[float, int]:
+    r = subprocess.run([sys.executable, "-c", _SPAWN, *args], capture_output=True, text=True, check=True)
+    maxrss_kb, code = r.stdout.split()
+    return int(maxrss_kb) / 1024.0, int(code)
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="reads ru_maxrss in KiB, as Linux reports it")
+def test_sweep_memory_does_not_grow_with_its_output():
+    args = ("sweep", "--l", "1:10", "--k2", "-100:100", "--format", "json", "--samples")
+    output_mb = len(run_cli(*args, "20000").stdout) / 2**20  # about 30 MB
+    big, big_code = _peak_rss_mb(*args, "20000")
+    small, small_code = _peak_rss_mb(*args, "1")
+    assert big_code == small_code == 0
+    assert big - small < output_mb / 2, (big, small, output_mb)
 
 
 def test_config_file_merge(tmp_path):
