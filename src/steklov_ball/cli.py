@@ -6,11 +6,11 @@ parameters, 3 for the excluded parameter k^2 = 0.
 
 Every command is deterministic for fixed flags.  `eigs` and `sweep`
 evaluate their whole table in one vectorized pass of the eigenvalue
-kernel (`kernel.eigen_grid`) and write it from the grid a degree at a
-time; a cell's bytes do not depend on the rest of the table.  Resonant
-cells are marked with the explicit token RES; no command ever prints NaN
-or Inf.  The other commands import their modules when they run, so that
-`eigs` and `sweep` load only the kernel.
+kernel (`kernel.eigen_grid`) and write it from the grid in blocks of at
+most 4,096 cells of one degree; a cell's bytes do not depend on the rest
+of the table.  Resonant cells are marked with the explicit token RES; no
+command ever prints NaN or Inf.  The other commands import their modules
+when they run, so that `eigs` and `sweep` load only the kernel.
 """
 
 from __future__ import annotations
@@ -232,13 +232,18 @@ def _json(payload: dict) -> str:
 
 def _emit(chunks: Iterable[str], out: str | None) -> None:
     """Write a command's output chunk by chunk to stdout or the --out file;
-    a reader that closes stdout early ends the output quietly."""
+    a reader that closes stdout early ends the output quietly, and any
+    other write error is a SteklovBallError."""
     if not out:
         try:
             sys.stdout.writelines(chunks)
             sys.stdout.flush()
-        except BrokenPipeError:
+        except OSError as exc:
+            # Point stdout at the null device, so that the interpreter's
+            # flush at exit cannot fail a second time.
             os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+            if not isinstance(exc, BrokenPipeError):
+                raise SteklovBallError(f"cannot write output: {exc}") from None
         return
     try:
         with open(out, "w") as file:

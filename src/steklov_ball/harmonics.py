@@ -323,7 +323,8 @@ class SurfaceRule:
 def surface_quadrature(l_max: int) -> SurfaceRule:
     """Surface rule integrating products of harmonics up to degree l_max
     each (polynomial degree 2 l_max + 1 in cos theta) exactly.  l_max
-    runs to 2 * 200 + 8, the finest rule the weak identity builds."""
+    runs to 2 * 200 + 8 = 408, which caps the size of a rule at 412 x 818
+    nodes; `gram_matrix`, the package's one caller, asks for at most 200."""
     l_max = _integer(l_max, "l_max", 0, 2 * _L_MAX + 8)
     n_theta = l_max + 4
     n_phi = max(4, 2 * l_max + 2)

@@ -18,25 +18,31 @@ from .errors import _L_MAX, DirichletResonance, InvalidMode, _choice, _integer, 
 __all__ = ["eigen_grid", "lambda1", "lambda2"]
 
 
+def _start(z2):
+    """Depth n and Debye seed rho_n of the backward continued fraction,
+    elementwise on a float or an array (see `eigen_grid`)."""
+    t = np.sqrt(np.abs(z2))
+    n = _L_MAX + 2 + np.ceil(np.sqrt(40.0 * t)) + np.ceil(t) * (z2 > 0.0)
+    return n, n + 1.5 + np.sqrt((n + 1.5) ** 2 - z2)
+
+
 def _ratio(l: int, z2: float) -> float:
-    t = math.sqrt(abs(z2))
-    n = _L_MAX + 2 + math.ceil(math.sqrt(40.0 * t)) + (math.ceil(t) if z2 > 0.0 else 0)
-    rho = n + 1.5 + math.sqrt((n + 1.5) ** 2 - z2)
-    for c in range(2 * n + 1, 2 * l + 1, -2):
+    n, rho = _start(z2)
+    c, rho = float(2 * n + 1), float(rho)
+    for _ in range(int(n) - l):  # rho_m = (2m + 3) - z^2 / rho_{m+1}, c = 2m + 3
         rho = c - z2 / rho
+        c -= 2.0
     return rho
 
 
 def _ratio_grid(l_lo: int, l_hi: int, z2: np.ndarray) -> np.ndarray:
     """`_ratio` for degrees l_lo..l_hi (rows) at every sample, in one pass."""
-    t = np.sqrt(np.abs(z2))
-    starts = _L_MAX + 2 + np.ceil(np.sqrt(40.0 * t)) + np.where(z2 > 0.0, np.ceil(t), 0.0)
+    depth, seed = _start(z2)
     rows = np.empty((l_hi - l_lo + 1, z2.size))
-    rho = np.ones_like(z2)
+    rho = seed
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        for n in range(int(starts.max(initial=0.0)), l_lo - 1, -1):
-            start = n + 1.5 + np.sqrt((n + 1.5) ** 2 - z2)
-            rho = np.where(n < starts, (2 * n + 3) - z2 / rho, start)
+        for n in range(int(depth.max(initial=0.0)), l_lo - 1, -1):
+            rho = np.where(n < depth, (2 * n + 3) - z2 / rho, seed)
             if n <= l_hi:
                 rows[n - l_lo] = rho
     return rows
@@ -48,7 +54,13 @@ def _cells(family: int, l, k2, rho_k, rho_q, theta: float):
         return k2 / rho_k - (l + 1), abs(rho_k) >= 1e-12 * abs(l * rho_k - k2)
     w = (l + 1) / (theta * (l * rho_q - k2 / theta))
     den = 1.0 / rho_k + w
-    return -1.0 / den, (abs(den) >= 1e-10 * abs(1.0 / rho_k)) & (abs(den) >= 1e-10 * abs(w))
+    ok = (abs(den) >= 1e-10 * abs(1.0 / rho_k)) & (abs(den) >= 1e-10 * abs(w))
+    if theta == 1.0:
+        # Both terms of den vanish together at a zero of j_{l+1}(k), a pole
+        # at theta = 1; flag it by the Newton step |j_{l+1}| < 1e-12 |k j_{l+1}'|,
+        # as k j_{l+1}'/j_{l+1} = rho_l - (l + 2).
+        ok &= abs(rho_k - (l + 2)) <= 1e12
+    return -1.0 / den, ok
 
 
 def eigen_grid(family: int, l_lo: int, l_hi: int, k2s, theta: float = 1.0):
@@ -63,7 +75,8 @@ def eigen_grid(family: int, l_lo: int, l_hi: int, k2s, theta: float = 1.0):
     q^2 = k^2/theta, where IEEE infinities give the limit at a zero of
     j_l(k), j_l'(q), or j_{l+1} off theta = 1.  Poles as in the Bessel
     forms: family 2 where |j_l(k)| < 1e-12 |k j_l'(k)|, family 1 where its
-    two denominator terms cancel to 1e-10.  Each sample starts at its own
+    two denominator terms cancel to 1e-10 and, at theta = 1, where
+    |j_{l+1}(k)| < 1e-12 |k j_{l+1}'(k)|.  Each sample starts at its own
     depth, above every degree and the turning point |z|, plus sqrt(40 |z|)
     degrees that damp the error of Debye's fixed point below roundoff; so
     a cell equals lambda1/lambda2 bit for bit, in any grid.

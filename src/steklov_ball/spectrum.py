@@ -14,8 +14,9 @@ Two explicit eigenvalue families exist for every degree l >= 1:
   divergence-free.
 
 Every check reads a mode as E = e1(r) A_1 + e2(r) A_2 + e3(r) A_3, with
-the zero function in the slots its family leaves empty, so one code path
-serves both families.
+the zero function in the slots its family leaves empty, and skips those
+slots; only `steklov_mode` reads the family, so one code path serves
+both families.
 
 This module is verification only.  The eigenvalues of the modes come
 from the production kernel (`kernel.lambda1`/`lambda2`), and the root
@@ -52,10 +53,8 @@ from .harmonics import (
     ModeIndex,
     SurfacePoint,
     Vec3,
-    _angular_tables,
     scalar_Y,
     surface_direction,
-    surface_quadrature,
     vector_A,
 )
 from .kernel import lambda1, lambda2
@@ -181,8 +180,9 @@ def steklov_mode(family: int, n: ModeIndex, k2: float, theta: float = 1.0) -> St
 def _field_real(value, scale, what: str):
     # The real part of a complex value or array, which must be real to
     # 1e-9 of its size plus scale; the error quotes the first that is not.
+    # A scalar's flag is tested directly; np.any would first wrap it in an array.
     bad = abs(value.imag) > 1e-9 * (abs(value.real) + scale)
-    if np.any(bad):
+    if bad.any() if isinstance(bad, np.ndarray) else bad:
         raise NonRealEigenvalue(f"{what} = {complex(np.asarray(value)[bad].flat[0])!r} is not real")
     return value.real
 
@@ -199,7 +199,7 @@ def _checked_scale(terms, what: str) -> float:
     # passing vacuously, losing digits silently or returning NaN.
     if not all(cmath.isfinite(t) for t in terms):
         raise NotRepresentable(f"{what}: a term leaves double range; nothing can be checked")
-    scale = max(abs(t) for t in terms)
+    scale = max((abs(t) for t in terms), default=0.0)
     if scale == 0.0:
         raise NotRepresentable(f"{what}: every term underflows to 0; nothing can be checked")
     if scale < sys.float_info.min:
@@ -211,54 +211,42 @@ def _scaled_sum(terms: list[complex]) -> float:
     return abs(sum(terms)) / _checked_scale(terms, "residual")
 
 
-def residual_system(pair: RadialPair, r: float) -> tuple[float, float]:
-    """Scaled residuals of the coupled radial ODE system at radius r.
+def residual_system(pair: RadialPair, r: float) -> tuple[float, ...]:
+    """Scaled residuals of the radial ODE system at radius r.
 
-    For an (e2, e3) pair the interior equation splits into two coupled
-    second-order ODEs (the gradient-type and radial components of
-    -Delta E + (1 - theta) grad div E - k^2 E = 0); for TOROIDAL the
-    single curl-type ODE is evaluated and returned as the first slot.
-    Residuals are normalized by the largest constituent term, so a
-    solution yields values near machine epsilon regardless of scale;
-    terms that are all 0 or not all finite raise NotRepresentable.
+    In modal form the interior equation -Delta E + (1 - theta) grad div E
+    - k^2 E = 0 is one second-order ODE per slot of E = e1 A_1 + e2 A_2 +
+    e3 A_3: slot 1 (curl-type) stands alone, and slots 2 and 3 (gradient-
+    type and radial) couple through each other and Phi.  An equation
+    that reads only zero functions is skipped, and the residuals of the
+    others come in slot order, padded with 0.0 to two: (e2, e3) for
+    family 1 and (e1, 0.0) for family 2.  Residuals are normalized by the
+    largest constituent term, so a solution yields values near machine
+    epsilon regardless of scale; terms that are all 0 or not all finite,
+    or a pair that is zero in every slot, raise NotRepresentable.
     """
     r = _positive(r, "r")
-    k2 = pair.k2
     big_l = pair.l * (pair.l + 1)
     root = math.sqrt(big_l)
+    e1, e2, e3 = pair.e1, pair.e2, pair.e3
+    residuals = []
+    if e1.terms:
+        residuals.append(_slot_residual(e1, big_l, [], pair.k2, r))
+    if e2.terms or e3.terms:
+        phi, penalty = pair.phi, 1.0 - pair.theta
+        coupling2 = [-2.0 * root * e3(r) / (r * r), penalty * root * phi(r) / r]
+        residuals.append(_slot_residual(e2, big_l, coupling2, pair.k2, r))
+        coupling3 = [-2.0 * root * e2(r) / (r * r), penalty * phi.deriv()(r)]
+        residuals.append(_slot_residual(e3, 2.0 + big_l, coupling3, pair.k2, r))
+    if not residuals:
+        raise NotRepresentable("residual: the pair is zero in every slot; nothing can be checked")
+    return (*residuals, 0.0) if len(residuals) == 1 else tuple(residuals)
 
-    if pair.kind is RadialKind.TOROIDAL:
-        e1 = pair.e1
-        d1 = e1.deriv()
-        terms = [
-            -d1.deriv()(r),
-            -2.0 * d1(r) / r,
-            big_l * e1(r) / (r * r),
-            -k2 * e1(r),
-        ]
-        return (_scaled_sum(terms), 0.0)
 
-    e2, e3 = pair.e2, pair.e3
-    phi = pair.phi
-    penalty = 1.0 - pair.theta
-    d2, d3 = e2.deriv(), e3.deriv()
-    terms2 = [
-        -d2.deriv()(r),
-        -2.0 * d2(r) / r,
-        big_l * e2(r) / (r * r),
-        -2.0 * root * e3(r) / (r * r),
-        penalty * root * phi(r) / r,
-        -k2 * e2(r),
-    ]
-    terms3 = [
-        -d3.deriv()(r),
-        -2.0 * d3(r) / r,
-        (2.0 + big_l) * e3(r) / (r * r),
-        -2.0 * root * e2(r) / (r * r),
-        penalty * phi.deriv()(r),
-        -k2 * e3(r),
-    ]
-    return (_scaled_sum(terms2), _scaled_sum(terms3))
+def _slot_residual(f: RadialFunction, weight: float, coupling: list[complex], k2: float, r: float) -> float:
+    # -f'' - 2 f'/r + weight f/r^2 + (coupling terms) - k^2 f, scaled.
+    df = f.deriv()
+    return _scaled_sum([-df.deriv()(r), -2.0 * df(r) / r, weight * f(r) / (r * r), *coupling, -k2 * f(r)])
 
 
 def residual_fourth_order(l: int, k2: float, r: float, e3: RadialFunction) -> float:
@@ -307,71 +295,55 @@ def _divergence_coef(mode: SteklovMode, r: np.ndarray) -> np.ndarray:
 # ----------------------------------------------------------------------
 
 
-# The tangential slot tau of each family: E_T = e_tau(1) A_tau.
-_TANGENTIAL = {1: 2, 2: 1}
-
-
 def verify_steklov_bc(mode: SteklovMode, p: SurfacePoint) -> float:
     """Pointwise residual of nu x curl E = lambda E_T at a surface point.
 
-    Both sides live on the family's tangential harmonic A_tau.  At r = 1
-    nu x curl E = c_1 A_2 - c_2 A_1 for the modal curl c (see
-    `_weak_identity_terms`); with e = e_tau and e3 = 0 when tau = 1, that
-    is c A_tau, c = -(e + e') + sqrt(l(l+1)) e3, against lambda e A_tau.
-    The residual is |c - lambda e| / max(|c|, |lambda e|) times |A_tau|
-    at p, so it does not grow with the scale of the unnormalized
-    eigenfield.  Raises NotRepresentable when both sides are 0 or
-    subnormal, or either is not finite.
+    At r = 1, nu x curl E = c_1 A_2 - c_2 A_1 for the modal curl c (see
+    `_weak_identity_terms`), against lambda E_T = lambda (e1 A_1 + e2 A_2):
+    on A_1, -(e1 + e1') against lambda e1, and on A_2, -(e2 + e2') +
+    sqrt(l(l+1)) e3 against lambda e2.  A slot with nothing but zero
+    functions on either side is skipped.  A_1 and A_2 are orthogonal and
+    of equal length, so the residual is the length of the differences
+    over the largest side, times |A_2| at p; it does not grow with the
+    scale of the unnormalized eigenfield.  Raises NotRepresentable when
+    every side is 0 or subnormal, or one is not finite.
     """
-    tau, pair = _TANGENTIAL[mode.family], mode.radial
-    f = (pair.e1, pair.e2)[tau - 1]
-    e, de, e3 = f(1.0), f.deriv()(1.0), pair.e3(1.0)
-    scale = max(abs(e), abs(de), abs(e3))
-    trace = _field_real(e, scale, "boundary trace")
+    pair = mode.radial
     root = math.sqrt(mode.n.l * (mode.n.l + 1))
-    curl_coef = _field_real(-(e + de) + root * e3, scale, "boundary curl trace")
-    magnitude = vector_A(tau, mode.n, p).norm()
-    lam_trace = mode.eigenvalue * trace
-    scale = _checked_scale([curl_coef, lam_trace], "boundary condition")
-    return abs(curl_coef - lam_trace) / scale * magnitude
-
-
-def _surface_sums(n: ModeIndex, order: int) -> tuple[float, float, float]:
-    # Surface integrals of |A_1|^2, |A_2|^2, |A_3|^2: |A_3|^2 = Y^2 and
-    # |A_1|^2 = |A_2|^2 = (a^2 + b^2) / (l(l+1)), rounded as Vec3.norm().
-    surf = surface_quadrature(order)
-    y, a, b = _angular_tables([n], surf)[n]
-    root = math.sqrt(n.l * (n.l + 1))
-    tangential = float(np.sum(surf.weights * np.hypot(a / root, b / root) ** 2))
-    return tangential, tangential, float(np.sum(surf.weights * (y * y)))
+    e3 = pair.e3(1.0)
+    terms, diffs = [], []
+    for f, lift in ((pair.e1, 0j), (pair.e2, e3)):
+        if not (f.terms or lift):
+            continue
+        e, de = f(1.0), f.deriv()(1.0)
+        scale = max(abs(e), abs(de), abs(lift))
+        trace = _field_real(e, scale, "boundary trace")
+        curl_coef = _field_real(-(e + de) + root * lift, scale, "boundary curl trace")
+        lam_trace = mode.eigenvalue * trace
+        terms += (curl_coef, lam_trace)
+        diffs.append(curl_coef - lam_trace)
+    scale = _checked_scale(terms, "boundary condition")
+    return math.hypot(*diffs) / scale * vector_A(2, mode.n, p).norm()
 
 
 def _weak_identity_terms(
-    mode: SteklovMode, rule: QuadratureRule, samples: np.ndarray, at_one: np.ndarray, surface_order: int
+    mode: SteklovMode, rule: QuadratureRule, samples: np.ndarray, at_one: np.ndarray
 ) -> tuple[float, float, float, float]:
     # From e1, e2, e3, e1', e2', Phi at the rule's radii and e1, e2, e3 at
-    # r = 1.  With s_tau the surface integral of |A_tau|^2: |E|^2
-    # integrates to sum e_tau^2 s_tau, |curl E|^2 to sum c_tau^2 s_tau with
-    # the modal curl c = (-(e2' + e2/r) + sqrt(l(l+1)) e3/r, e1' + e1/r,
-    # sqrt(l(l+1)) e1/r), and |div E|^2 to Phi^2 s_3 (div E = Phi Y_n).
+    # r = 1.  The A_tau are orthonormal on the sphere, so |E|^2 integrates
+    # to sum e_tau^2, |curl E|^2 to sum c_tau^2 with the modal curl
+    # c = (-(e2' + e2/r) + sqrt(l(l+1)) e3/r, e1' + e1/r, sqrt(l(l+1)) e1/r),
+    # and |div E|^2 to Phi^2 (div E = Phi Y_n).
     l = mode.n.l
     root = math.sqrt(l * (l + 1))
     radii = 0.5 * (rule.nodes + 1.0)
     rweights = 0.5 * rule.weights * radii**2
-    sums = _surface_sums(mode.n, surface_order)
-
-    def modal_sum(coefs) -> np.ndarray:
-        return sum(c**2 * s for c, s in zip(coefs, sums))
-
     e1, e2, e3, de1, de2, phi = samples
-    curl_sq = modal_sum((-(de2 + e2 / radii) + root * e3 / radii, de1 + e1 / radii, root * e1 / radii))
-    field_sq = modal_sum((e1, e2, e3))
-    div_sq = phi**2 * sums[2]
-
+    curl_sq = (-(de2 + e2 / radii) + root * e3 / radii) ** 2 + (de1 + e1 / radii) ** 2 + (root * e1 / radii) ** 2
     t_curl = float(np.sum(rweights * curl_sq))
-    t_field = mode.k2 * float(np.sum(rweights * field_sq))
-    t_div = mode.theta * float(np.sum(rweights * div_sq))
-    t_boundary = mode.eigenvalue * modal_sum(at_one)
+    t_field = mode.k2 * float(np.sum(rweights * (e1**2 + e2**2 + e3**2)))
+    t_div = mode.theta * float(np.sum(rweights * phi**2))
+    t_boundary = mode.eigenvalue * float(np.sum(at_one**2))
     return t_curl, t_field, t_div, t_boundary
 
 
@@ -385,15 +357,15 @@ def verify_weak_identity(mode: SteklovMode) -> float:
         int_B(|curl E|^2 - k^2 |E|^2 + theta |div E|^2)
                                     + lambda int_Gamma |E|^2 = 0
 
-    under product Gauss quadrature (a radial rule of order 2l + 12 with
-    r^2 weight times the surface rule for degree 2l + 4), normalized by
-    the largest of the four terms.  Raises QuadratureTooCoarse when
-    refining both orders by 4 moves the defect by more than the weak-
-    identity suite's tolerance, 1e-8 of that scale, and NotRepresentable
-    when the largest term of either order is 0, subnormal or not finite.
+    with the surface integral of each |A_tau|^2 taken as 1 by
+    orthonormality and the radial one by a Gauss rule of order 2l + 12
+    with r^2 weight, normalized by the largest of the four terms.  Raises
+    QuadratureTooCoarse when raising the radial order by 4 moves the
+    defect by more than the weak-identity suite's tolerance, 1e-8 of that
+    scale, and NotRepresentable when the largest term of either order is
+    0, subnormal or not finite.
     """
-    l = mode.n.l
-    radial_order, surface_order = 2 * l + 12, 2 * l + 4
+    radial_order = 2 * mode.n.l + 12
     rules = gauss_legendre(radial_order), gauss_legendre(radial_order + 4)
     radii = [0.5 * (rule.nodes + 1.0) for rule in rules]
     # One array call per slot over the radii of both rules and r = 1.
@@ -403,8 +375,8 @@ def verify_weak_identity(mode: SteklovMode) -> float:
     values = _sample(slots.values(), np.concatenate([*radii, [1.0]]))
     samples = np.array([_field_real(v, np.max(np.abs(v)) + 1e-300, what) for what, v in zip(slots, values)])
     cut, at_one = radii[0].size, samples[:3, -1]
-    base = _weak_identity_terms(mode, rules[0], samples[:, :cut], at_one, surface_order)
-    refined = _weak_identity_terms(mode, rules[1], samples[:, cut:-1], at_one, surface_order + 4)
+    base = _weak_identity_terms(mode, rules[0], samples[:, :cut], at_one)
+    refined = _weak_identity_terms(mode, rules[1], samples[:, cut:-1], at_one)
     _checked_scale(base, "weak identity")
     scale = _checked_scale(refined, "weak identity")
     base_value = base[0] - base[1] + base[2] + base[3]

@@ -453,6 +453,16 @@ def test_out_file_write_error_exits_2():
     assert r.stderr.startswith("error: cannot write --out file: ") and "Traceback" not in r.stderr
 
 
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+def test_stdout_write_error_exits_2():
+    with open("/dev/full", "w") as full:
+        r = subprocess.run([sys.executable, "-m", "steklov_ball.cli", "eigs", "--k2", "1"],
+                           stdout=full, stderr=subprocess.PIPE, text=True)
+    assert r.returncode == 2
+    assert r.stderr.startswith("error: cannot write output: ") and r.stderr.count("\n") == 1
+    assert "Traceback" not in r.stderr
+
+
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 def test_reader_that_closes_stdout_early_ends_the_output_quietly(fmt):
     proc = subprocess.Popen(

@@ -44,10 +44,8 @@ from steklov_ball import (
     zero_in_spectrum,
 )
 from steklov_ball import fd, kernel
-from steklov_ball.harmonics import surface_quadrature, vector_A
 from steklov_ball.kernel import eigen_grid
-from steklov_ball.spectrum import _surface_sums, _theta1_alt_rows
-from steklov_ball.verify import _WEAK_MODES
+from steklov_ball.spectrum import _theta1_alt_rows
 
 # (l, k2, lambda2) -- mpmath, 40 digits
 LAMBDA2_ORACLE = [
@@ -170,8 +168,11 @@ def test_eigen_grid_matches_scalar_bitwise():
     mixed = np.concatenate([np.linspace(-120.0, 120.0, 97), [-5e5, -3.3e-9, 1e-300, 7e4, 2.5e5, pole]])
     suite = np.linspace(-50.0, 50.0, 101)  # the form-equivalence suite's grid
     suite = suite[suite != 0.0]
+    outer = np.linspace(1e4, 1e6, 41)  # start depths differ most between lanes
     for family, theta, l_lo, l_hi, k2s in (
         (1, 1.0, 1, 10, suite),
+        (1, 1.0, 162, 171, outer),
+        (2, 1.0, 162, 171, outer),
         (1, 1.0, 1, 6, mixed),
         (1, 0.5, 3, 9, mixed),
         (1, 2.0, 1, 4, mixed),
@@ -191,6 +192,19 @@ def test_eigen_grid_matches_scalar_bitwise():
                     continue
                 assert ok[i, j] and values[i, j] == want, (family, theta, l, k2)
     assert not ok[1, -1]  # the family-2 pole
+
+
+def test_family1_pole_at_a_zero_of_the_next_order_at_theta_1():
+    # At theta = 1 a zero of j_{l+1}(k) is a pole, where both terms of the
+    # kernel's denominator vanish together: at the zeros of j_2, l = 1
+    # returned -1.2e16 as OK, while l = 3 raised for the same zero.
+    for root in bessel_zeros(2, 2).roots:
+        for l in (1, 3):
+            with pytest.raises(DirichletResonance):
+                lambda1(l, root * root, 1.0)
+        values, ok = eigen_grid(1, 1, 3, [root * root], 1.0)
+        assert ok[:, 0].tolist() == [False, True, False]
+        assert np.isnan(values[[0, 2], 0]).all()
 
 
 def test_eigen_grid_marks_zero_k2_and_validates():
@@ -312,13 +326,27 @@ def test_mode_weak_identity(family, parity, m, l, k2, theta):
 
 def test_perturbed_eigenvalue_is_detected():
     # Both families run the same boundary and weak-form code; each must
-    # catch a wrong eigenvalue.
+    # catch a wrong eigenvalue, and the weak identity a wrong k^2, which
+    # the boundary and radial residuals of the (unchanged) profiles miss.
     for family, n in ((1, ModeIndex("even", 0, 2)), (2, ModeIndex("odd", 1, 3))):
         mode = steklov_mode(family, n, 4.0, 1.0)
         bad = dataclasses.replace(mode, eigenvalue=mode.eigenvalue * (1.0 + 1e-3))
         worst = max(verify_steklov_bc(bad, p) for p in SURFACE_POINTS)
         assert worst > 1e-5, family
         assert verify_weak_identity(bad) > 1e-5, family
+        assert verify_weak_identity(dataclasses.replace(mode, k2=mode.k2 * (1.0 + 1e-3))) > 1e-5, family
+
+
+def test_modal_residuals_keep_their_bits():
+    # One modal path for both families: each residual equals, float for
+    # float, the one the family-specific code computed.
+    for args, system, boundary in (
+        ((1, ModeIndex("odd", 1, 2), -3.0, 2.0), (2.5849731409276642e-15, 5.8436457075456125e-15), 6.231599417456855e-17),
+        ((2, ModeIndex("even", 1, 5), 12.0, 0.7), (7.072280803913728e-17, 0.0), 4.680186364283962e-17),
+    ):
+        mode = steklov_mode(*args)
+        assert residual_system(mode.radial, 0.7) == system
+        assert verify_steklov_bc(mode, SURFACE_POINTS[0]) == boundary
 
 
 def test_fourth_order_factorization():
@@ -526,17 +554,3 @@ def test_steklov_mode_validation():
         steklov_mode(1, n, 0.0, 1.0)
     with pytest.raises(DomainError):
         steklov_mode(1, n, 1.0, -1.0)
-
-
-def test_weak_identity_surface_sums_match_pointwise():
-    # The Legendre-table sums equal the per-node vector_A sums they
-    # replaced, for every mode of the weak-identity suite.
-    for _, n, _, _ in _WEAK_MODES:
-        surf = surface_quadrature(2 * n.l + 4)
-        pointwise = [
-            float(np.sum(surf.weights * np.array(
-                [vector_A(tau, n, SurfacePoint(t, ph)).norm() ** 2 for t, ph in zip(surf.theta, surf.phi)]
-            )))
-            for tau in (1, 2, 3)
-        ]
-        np.testing.assert_allclose(_surface_sums(n, 2 * n.l + 4), pointwise, rtol=1e-14, atol=0)
