@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, _integer, _positive
+from .errors import DomainError, NotRepresentable, _integer, _positive
 
 __all__ = [
     "ScalarSpectrum",
@@ -92,7 +92,8 @@ class ScalarSpectrum:
 
 def ball_steklov_spectrum(n: int, radius: float = 1.0, count: int = 100) -> ScalarSpectrum:
     """First `count` (flattened) Steklov eigenvalues of the n-ball of
-    the given radius, grouped by degree with multiplicities."""
+    the given radius, grouped by degree with multiplicities.  Raises
+    NotRepresentable when the largest of them, j/R, is not finite."""
     n = _integer(n, "dimension", 2, _MAX_DIM)
     radius = _positive(radius, "radius")
     count = _integer(count, "count", 1, _MAX_FLATTENED, DomainError)
@@ -104,6 +105,8 @@ def ball_steklov_spectrum(n: int, radius: float = 1.0, count: int = 100) -> Scal
         entries.append((j, j / radius, mult))
         total += mult
         j += 1
+    if not math.isfinite(entries[-1][1]):
+        raise NotRepresentable(f"eigenvalue {entries[-1][0]}/R overflows at radius {radius!r}")
     return ScalarSpectrum(dim=n, radius=radius, entries=tuple(entries))
 
 

@@ -7,7 +7,7 @@ parameters, 3 for the excluded parameter k^2 = 0.
 Every command is deterministic for fixed flags.  `eigs` and `sweep`
 evaluate their whole table in one vectorized pass of the eigenvalue
 kernel (`kernel.eigen_grid`) and write it from the grid in blocks of at
-most 4,096 cells of one degree; a cell's bytes do not depend on the rest
+most 1,024 cells of one degree; a cell's bytes do not depend on the rest
 of the table.  Resonant cells are marked with the explicit token RES; no
 command ever prints NaN or Inf.  The other commands import their modules
 when they run, so that `eigs` and `sweep` load only the kernel.
@@ -40,7 +40,7 @@ _KINDS = ("bessel", "neumann", "magnetic", "family1")
 _TABLE_HEADER = "family,l,theta,k2,lambda,status"
 _MAX_SAMPLES = 100_000
 _MAX_THREADS = 64
-_CHUNK_CELLS = 4096  # table cells per written chunk
+_CHUNK_CELLS = 1024  # table cells per written chunk
 
 
 def _fmt(x: float) -> str:
@@ -275,9 +275,9 @@ def _table_text(fmt: str, family: int, theta: float, degrees: range, k2s: list[f
                 values: np.ndarray, ok: np.ndarray) -> Iterator[str]:
     """The eigs/sweep table of `eigen_grid`'s (values, ok), degrees by k2s,
     in the bytes of per-cell _fmt lines or of json.dumps(indent=2), as the
-    header, one chunk per degree and block of _CHUNK_CELLS k2s, and the
-    trailer.  Theta and each k2 are formatted once per table, and a chunk's
-    OK values in one %-operation when the writer asks for that chunk.
+    header, one chunk per degree and block of 1,024 k2s (_CHUNK_CELLS), and
+    the trailer.  Theta and each k2 are formatted once per table, and a
+    chunk's OK values in one %-operation when the writer asks for that chunk.
     """
     num = _fmt if fmt == "csv" else repr
     lead, ok_rest, res_rest = _TABLE_PARTS[fmt]

@@ -35,19 +35,6 @@ def _ratio(l: int, z2: float) -> float:
     return rho
 
 
-def _ratio_grid(l_lo: int, l_hi: int, z2: np.ndarray) -> np.ndarray:
-    """`_ratio` for degrees l_lo..l_hi (rows) at every sample, in one pass."""
-    depth, seed = _start(z2)
-    rows = np.empty((l_hi - l_lo + 1, z2.size))
-    rho = seed
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        for n in range(int(depth.max(initial=0.0)), l_lo - 1, -1):
-            rho = np.where(n < depth, (2 * n + 3) - z2 / rho, seed)
-            if n <= l_hi:
-                rows[n - l_lo] = rho
-    return rows
-
-
 def _cells(family: int, l, k2, rho_k, rho_q, theta: float):
     """Eigenvalue and off-pole flag, elementwise on floats or arrays."""
     if family == 2:
@@ -79,7 +66,9 @@ def eigen_grid(family: int, l_lo: int, l_hi: int, k2s, theta: float = 1.0):
     |j_{l+1}(k)| < 1e-12 |k j_{l+1}'(k)|.  Each sample starts at its own
     depth, above every degree and the turning point |z|, plus sqrt(40 |z|)
     degrees that damp the error of Debye's fixed point below roundoff; so
-    a cell equals lambda1/lambda2 bit for bit, in any grid.
+    a cell equals lambda1/lambda2 bit for bit, in any grid.  One descent
+    turns each degree into its row of cells as it passes, so a call holds
+    its results (9 bytes a cell) plus a few vectors of the samples' length.
     """
     k2 = np.asarray(k2s)
     if k2.dtype.kind not in "biuf":
@@ -95,12 +84,22 @@ def eigen_grid(family: int, l_lo: int, l_hi: int, k2s, theta: float = 1.0):
         raise InvalidMode(f"k2s must be finite, got {float(k2[~np.isfinite(k2)][0])!r}")
     _validate_eig_args(l_lo, 1.0)
     _, _, theta = _validate_eig_args(l_hi, float(np.max(np.abs(k2), initial=0.0)) or 1.0, theta)
-    rho_k = _ratio_grid(l_lo, l_hi, k2)
-    rho_q = rho_k if family == 2 or theta == 1.0 else _ratio_grid(l_lo, l_hi, k2 / theta)
+    z2s = (k2,) if family == 2 or theta == 1.0 else (k2, k2 / theta)
+    fractions = [(z2, *_start(z2)) for z2 in z2s]
+    tops = [int(depth.max(initial=0.0)) for _, depth, _ in fractions]
+    rhos = [seed for *_, seed in fractions]
+    shape = (l_hi - l_lo + 1, k2.size)
+    values, ok = np.empty(shape), np.empty(shape, bool)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        values, ok = _cells(family, np.arange(l_lo, l_hi + 1.0)[:, None], k2, rho_k, rho_q, theta)
-    ok &= np.isfinite(values) & (k2 != 0.0)
-    values[~ok] = np.nan
+        for n in range(max(tops), l_lo - 1, -1):
+            for i, (z2, depth, seed) in enumerate(fractions):
+                if n < tops[i]:  # each fraction starts at its own deepest sample
+                    rhos[i] = np.where(n < depth, (2 * n + 3) - z2 / rhos[i], seed)
+            if n <= l_hi:
+                row, good = _cells(family, float(n), k2, rhos[0], rhos[-1], theta)
+                good &= np.isfinite(row) & (k2 != 0.0)
+                row[~good] = np.nan
+                values[n - l_lo], ok[n - l_lo] = row, good
     return values, ok
 
 

@@ -6,11 +6,14 @@ so the assertions are tight.
 
 from __future__ import annotations
 
+import math
+
 import pytest
 
 from steklov_ball import (
     InvalidMode,
     DomainError,
+    NotRepresentable,
     ball_steklov_spectrum,
     harmonic_polynomial_dimension,
     multiplicity,
@@ -114,3 +117,11 @@ def test_classical_validation():
     ):
         with pytest.raises(InvalidMode, match=r"^dimension must be an integer in \[2, 10000\]"):
             call()
+
+
+def test_radius_whose_spectrum_overflows_is_refused():
+    # 1/R overflows to inf for a subnormal radius, which no table may print.
+    with pytest.raises(NotRepresentable, match=r"radius 1e-320$"):
+        ball_steklov_spectrum(2, radius=1e-320, count=3)
+    values = ball_steklov_spectrum(2, radius=1e-300, count=3).flattened(3)
+    assert values[0] == 0.0 and all(math.isfinite(v) and v > 1e299 for v in values[1:])

@@ -369,6 +369,13 @@ def test_classical_output():
     assert payload["rows"][0]["rank"] == 1
 
 
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_classical_radius_whose_spectrum_overflows_exits_2(fmt):
+    r = run_cli("classical", "--dim", "2", "--count", "3", "--radius", "1e-320", "--format", fmt)
+    assert r.returncode == 2 and r.stdout == ""
+    assert r.stderr.startswith("error: ") and r.stderr.count("\n") == 1 and "1e-320" in r.stderr
+
+
 def test_verify_default_passes_and_validates():
     r = run_cli("verify", "--l-max", "4")
     assert r.returncode == 0, r.stdout + r.stderr
@@ -504,6 +511,14 @@ def test_sweep_memory_does_not_grow_with_its_output():
     small, small_code = _peak_rss_mb(*args, "1")
     assert big_code == small_code == 0
     assert big - small < output_mb / 2, (big, small, output_mb)
+    # Degree-heavy: the grid's results (9 bytes a cell), not the text, set
+    # the peak; the kernel holds no more than a few rows beside them.
+    args = ("sweep", "--l", "1:200", "--k2=-100:100", "--theta", "0.5", "--samples")
+    results_mb = 200 * 5000 * 9 / 2**20
+    big, big_code = _peak_rss_mb(*args, "5000")
+    small, small_code = _peak_rss_mb(*args, "1")
+    assert big_code == small_code == 0
+    assert big - small < 2 * results_mb, (big, small, results_mb)
 
 
 def test_config_file_merge(tmp_path):

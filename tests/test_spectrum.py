@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -176,6 +177,9 @@ def test_eigen_grid_matches_scalar_bitwise():
         (1, 1.0, 1, 6, mixed),
         (1, 0.5, 3, 9, mixed),
         (1, 2.0, 1, 4, mixed),
+        (1, 0.1, 162, 171, outer),  # the q fraction starts far deeper than the k one
+        (1, 0.5, 200, 200, mixed),  # one degree
+        (2, 1.0, 1, 3, np.array([])),  # no samples: shape (3, 0)
         (2, 1.0, 2, 7, mixed),
     ):
         values, ok = eigen_grid(family, l_lo, l_hi, k2s, theta)
@@ -192,6 +196,19 @@ def test_eigen_grid_matches_scalar_bitwise():
                     continue
                 assert ok[i, j] and values[i, j] == want, (family, theta, l, k2)
     assert not ok[1, -1]  # the family-2 pole
+
+
+def test_eigen_grid_memory_is_its_results_plus_a_few_vectors():
+    # One descent turns each degree into its row as it passes, so no table
+    # of ratios or of temporaries is held beside the results.
+    k2s = np.linspace(-100.0, 100.0, 20000)
+    tracemalloc.start()
+    try:
+        values, ok = eigen_grid(1, 1, 200, k2s, 0.5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= values.nbytes + ok.nbytes + 32 * k2s.size * 8, peak
 
 
 def test_family1_pole_at_a_zero_of_the_next_order_at_theta_1():
