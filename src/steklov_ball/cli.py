@@ -222,8 +222,13 @@ def _config_tokens(command: str, args: list[str]) -> list[str]:
     return tokens
 
 
-def _csv(header: str, lines) -> str:
-    return "\n".join([header, *lines]) + "\n"
+def _csv(header: str, rows) -> str:
+    # RFC 4180 with minimal quoting, since verify's check names hold commas.
+    import csv
+    import io
+    text = io.StringIO()
+    csv.writer(text, lineterminator="\n").writerows([header.split(","), *rows])
+    return text.getvalue()
 
 
 def _json(payload: dict) -> str:
@@ -335,7 +340,7 @@ def cmd_zeros(ns: argparse.Namespace) -> int:
     if ns.format == "csv":
         theta = "" if roots.theta is None else _fmt(roots.theta)
         text = _csv("kind,l,theta,index,root,residual", (
-            f"{roots.tag},{roots.l},{theta},{index},{_fmt(root)},{_fmt(residual)}"
+            (roots.tag, roots.l, theta, index, _fmt(root), _fmt(residual))
             for index, (root, residual) in enumerate(zip(roots.roots, roots.residuals), start=1)
         ))
     else:
@@ -353,7 +358,7 @@ def cmd_classical(ns: argparse.Namespace) -> int:
     rows = [(ns.dim, ns.radius, rank, *entry) for rank, entry in enumerate(flat, start=1)]
     if ns.format == "csv":
         text = _csv("dim,radius,rank,degree,eigenvalue,multiplicity", (
-            f"{dim},{_fmt(radius)},{rank},{degree},{_fmt(sigma)},{mult}"
+            (dim, _fmt(radius), rank, degree, _fmt(sigma), mult)
             for dim, radius, rank, degree, sigma, mult in rows
         ))
     else:
@@ -369,7 +374,7 @@ def cmd_verify(ns: argparse.Namespace) -> int:
     report = run_suites(suites=ns.suite, l_max=ns.l_max, tol_scale=ns.tol)
     if ns.format == "csv":
         text = _csv("suite,name,passed,residual,tolerance", (
-            f"{c.suite},{c.name},{str(c.passed).lower()},{_fmt(c.residual)},{_fmt(c.tolerance)}"
+            (c.suite, c.name, str(c.passed).lower(), _fmt(c.residual), _fmt(c.tolerance))
             for c in report.checks
         ))
     else:

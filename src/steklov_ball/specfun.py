@@ -157,86 +157,21 @@ def sph_bessel_j_all(l: int, z: complex) -> np.ndarray:
     return _downward_all(l, z)
 
 
-# The array tower: j_0..j_l at every entry of an array, one numpy step
-# per order for all lanes of a branch.  Each lane takes the branch and
-# raises the error of sph_bessel_j_all.  The scalar tower stays as it is
-# for the root scans, whose points come one by one.
-
-
-@np.errstate(over="ignore", invalid="ignore")  # in the lanes np.where drops
+# The array tower: the scalar tower read at every entry of an array, so each
+# entry keeps its bits and raises its errors.  The verification layer builds
+# one per (degree, wavenumber) over all of its points.
 def _j_all_lanes(l: int, z) -> np.ndarray:
-    # Shape (l + 1, *z.shape), for an int 0 <= l <= 200.
+    # Shape (l + 1, *z.shape), C-contiguous.
     z = np.asarray(z, dtype=complex)
-    if z.size == 1:  # the scalar loop costs less than a numpy step per order
-        return sph_bessel_j_all(l, z.flat[0]).reshape(l + 1, *z.shape)
-    flat = z.ravel()
-    for bad in flat[~np.isfinite(flat) | (np.abs(flat.imag) > _IM_MAX)][:1]:
-        sph_bessel_j_all(l, bad)  # raises the scalar's error
-    out = np.zeros((l + 1, flat.size), dtype=complex)
-    out[0, flat == 0] = 1.0
-    az = np.abs(flat)
-    for i in np.flatnonzero((az < 1e-2) & (flat != 0)):  # few lanes, each a short sum
-        out[:, i] = _series_all(l, complex(flat[i]))
-    upward = (az >= 1e-2) & (flat.imag == 0.0) & (l <= az)
-    for lanes, branch in ((upward, _upward_lanes), ((az >= 1e-2) & ~upward, _miller_lanes)):
-        if lanes.any():
-            out[:, lanes] = branch(l, flat[lanes])
-    return out.reshape(l + 1, *z.shape)
+    rows = np.array([sph_bessel_j_all(l, v) for v in z.ravel().tolist()], dtype=complex)
+    return np.ascontiguousarray(rows.T).reshape(l + 1, *z.shape)
 
 
-@np.errstate(divide="ignore", invalid="ignore")  # in the ratio np.where drops
-def _over(z: np.ndarray):
-    # m -> m / z for a real m, rounded as Python's (m u) / denom and (m v) /
-    # denom, not through numpy's rounded reciprocal: so real lanes keep the
-    # scalar tower's bits, which the upward recurrence near l = |z| and the
-    # radial algebra's negative powers of r at small r would amplify.
-    wide = np.abs(z.real) >= np.abs(z.imag)
-    ratio = np.where(wide, z.imag / z.real, z.real / z.imag)
-    denom = np.where(wide, z.real + z.imag * ratio, z.real * ratio + z.imag)[..., None]
-    uv = np.stack([np.where(wide, 1.0, ratio), np.where(wide, -ratio, -1.0)], axis=-1)
-    return lambda m: ((m * uv) / denom).view(complex)[..., 0]
-
-
-def _j_pair_lanes(l: int, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    # _j_pair at every entry of an array z != 0, from one tower.
-    tab = _j_all_lanes(max(l, 1), z)
-    return tab[l], -tab[1] if l == 0 else tab[l - 1] - _over(z)(l + 1) * tab[l]
-
-
-def _upward_lanes(l: int, z: np.ndarray) -> np.ndarray:
-    # _upward_all over lanes on the real axis with l <= |z|.
-    over = _over(z)
-    out = np.empty((max(l, 1) + 1, z.size), dtype=complex)
-    out[0], out[1] = _j0_j1(z)
-    for n in range(2, l + 1):
-        out[n] = over(2 * n - 1) * out[n - 1] - out[n - 2]
-    return out[: l + 1]
-
-
-def _miller_lanes(l: int, z: np.ndarray) -> np.ndarray:
-    # _downward_all over lanes.  A lane joins the recurrence at its own
-    # start order, with the scalar's seeds, and rescales on its own.
-    start = l + 32 + np.where(z.imag != 0.0, np.sqrt(40.0 * np.abs(z)).astype(int) + 8, 0)
-    low, top = int(start.min()), int(start.max())
-    out = np.zeros((l + 1, z.size), dtype=complex)
-    p_next, p_cur = np.zeros_like(z), np.full_like(z, 1e-30)
-    over = _over(z)
-    for n in range(top, -1, -1):
-        p_next, p_cur = p_cur, over(2 * n + 3) * p_cur - p_next
-        if n > low:  # lanes that start lower keep their seeds
-            idle = start < n
-            p_next[idle], p_cur[idle] = 0.0, 1e-30
-        if n <= l:
-            out[n] = p_cur
-        if np.abs(p_cur.view(float)).max() > 1e250:
-            big = np.maximum(np.abs(p_cur.real), np.abs(p_cur.imag)) > 1e250
-            p_cur[big], p_next[big] = p_cur[big] * 1e-250, p_next[big] * 1e-250
-            out[n:, big] *= 1e-250
-    j0, j1 = _j0_j1(z)
-    one = (np.abs(j1) > np.abs(j0)) & (out[min(l, 1)] != 0) & (l >= 1)
-    seed, ref = np.where(one, j1, j0), np.where(one, out[min(l, 1)], p_cur)
-    fits = np.abs(seed) / sys.float_info.max < np.abs(ref)
-    return np.where(fits, out * (seed / ref), (out / ref) * seed)
+def _j_pair_lanes(l: int, z) -> tuple[np.ndarray, np.ndarray]:
+    # _j_pair at every entry of an array z != 0.
+    z = np.asarray(z, dtype=complex)
+    j, dj = np.array([_j_pair(l, v) for v in z.ravel().tolist()], dtype=complex).reshape(-1, 2).T
+    return j.reshape(z.shape), dj.reshape(z.shape)
 
 
 def sph_bessel_j(l: int, z: complex) -> complex:
@@ -271,8 +206,8 @@ def _j_pair(l: int, z: complex) -> tuple[complex, complex]:
 
 
 # Cached because the radial algebra evaluates a profile and all its
-# derivatives at the same few arguments.  The root scans call _j_pair
-# itself: their points seldom repeat and would only fill the cache.
+# derivatives at the same few arguments.  The root scans and the array
+# tower call _j_pair itself: their points seldom repeat.
 _j_and_deriv = functools.lru_cache(maxsize=4096)(_j_pair)
 
 

@@ -6,6 +6,8 @@ user would hit them.
 
 from __future__ import annotations
 
+import csv
+import io
 import json
 import math
 import os
@@ -13,10 +15,9 @@ import subprocess
 import sys
 from pathlib import Path
 
+import jsonschema
 import numpy as np
 import pytest
-
-jsonschema = pytest.importorskip("jsonschema")
 
 import steklov_ball
 from steklov_ball.cli import _CHUNK_CELLS, _table_text
@@ -390,6 +391,18 @@ def test_verify_single_suite_csv():
     assert r.returncode == 0
     lines = r.stdout.strip().splitlines()
     assert lines[0].startswith("suite,")
+
+
+def test_verify_csv_quotes_the_names_that_hold_commas():
+    # Every row parses into the five header fields, and the names are the
+    # JSON report's, commas and all.
+    flags = ("verify", "--l-max", "3", "--tol", "0.5")
+    rows = list(csv.reader(io.StringIO(run_cli(*flags, "--format", "csv").stdout)))
+    names = [c["name"] for c in json.loads(run_cli(*flags).stdout)["checks"]]
+    assert rows[0] == ["suite", "name", "passed", "residual", "tolerance"]
+    assert all(len(row) == 5 for row in rows)
+    assert [row[1] for row in rows[1:]] == names
+    assert sum("," in name for name in names) >= 10
 
 
 def test_verify_argument_errors_are_typed():

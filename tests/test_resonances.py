@@ -9,6 +9,7 @@ from __future__ import annotations
 import math
 import sys
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -213,7 +214,6 @@ def test_bessel_zeros_match_mpmath_at_high_degree(l):
     # The k-th zero of j_l is near (k + l/2) pi, far above a window
     # sized by the count alone; below l + 1/2 the scan would meet
     # j_l underflowing to 0.0.
-    mpmath = pytest.importorskip("mpmath")
     roots = bessel_zeros(l, 4).roots
     assert len(roots) == 4 and roots[0] > l + 0.5
     for k, root in enumerate(roots, start=1):
@@ -243,7 +243,7 @@ def test_known_window_and_step_defects_are_fixed():
     assert nearest == pytest.approx(square, rel=1e-12)
 
 
-def _family1_denominator(mpmath, l: int, theta: float, k: float):
+def _family1_denominator(l: int, theta: float, k: float):
     # D(k) of `family1_resonances` at 60 digits, j_l from mpmath's besselj
     # and j_l' = j_{l-1} - (l+1)/z j_l.
     with mpmath.workdps(60):
@@ -269,7 +269,6 @@ def test_family1_small_theta_roots_are_the_first_sign_changes(theta, want):
     # a sign change of D across k(1 +- 1e-9), and a fine grid from the
     # scan's lower bound (l - 1) sqrt(theta) finds no other one before it,
     # so the roots keep their index.
-    mpmath = pytest.importorskip("mpmath")
     l = 12
     roots = family1_resonances(l, theta, len(want)).roots
     assert roots == pytest.approx(want, rel=1e-12)
@@ -277,7 +276,7 @@ def test_family1_small_theta_roots_are_the_first_sign_changes(theta, want):
     top = roots[-1] * (1 + 1e-9)
     brackets = [root * (1 + s * 1e-9) for root in roots for s in (-1, 1)]
     points = sorted([lo + (top - lo) * i / 200 for i in range(201)] + brackets)
-    signs = [_family1_denominator(mpmath, l, theta, k) > 0 for k in points]
+    signs = [_family1_denominator(l, theta, k) > 0 for k in points]
     changes = [(a, b) for a, b, sa, sb in zip(points, points[1:], signs, signs[1:]) if sa != sb]
     assert changes == list(zip(brackets[::2], brackets[1::2]))
     clear, nearest = exclusion_check(roots[0] ** 2, theta, l)
@@ -290,11 +289,10 @@ def test_family1_keeps_no_root_where_j_l_is_subnormal():
     # (one at k = 3.706 where D < 0 on both sides).  The filter drops them;
     # every root kept is a sign change of D at 60 digits.  The poles below
     # 4.38, such as k = 2.1255574, are still missed.
-    mpmath = pytest.importorskip("mpmath")
     l, theta = 200, 1e-4
     for root in family1_resonances(l, theta, 3).roots:
         assert abs(sph_bessel_j(l, root)) >= sys.float_info.min
-        low, high = (_family1_denominator(mpmath, l, theta, root * (1 + s * 1e-9)) for s in (-1, 1))
+        low, high = (_family1_denominator(l, theta, root * (1 + s * 1e-9)) for s in (-1, 1))
         assert (low > 0) != (high > 0), root
 
 

@@ -297,9 +297,19 @@ def test_array_tower_matches_the_scalar_tower_lane_by_lane(l):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         tower = specfun._j_all_lanes(l, z.reshape(2, -1))
-    assert tower.shape == (l + 1, 2, z.size // 2)
-    for lane, want in zip(tower.reshape(l + 1, -1).T, (sph_bessel_j_all(l, v) for v in z)):
-        assert np.max(np.abs(lane - want)) <= 1e-14 * np.max(np.abs(want))
+    assert tower.shape == (l + 1, 2, z.size // 2) and tower.flags.c_contiguous
+    for lane, v in zip(tower.reshape(l + 1, -1).T, z.tolist()):
+        assert lane.tobytes() == sph_bessel_j_all(l, v).tobytes(), v
+
+
+@pytest.mark.parametrize("l", [0, 1, 2, 7, 30, 99, 150, 189, 200])
+def test_array_pair_matches_the_scalar_pair_lane_by_lane(l):
+    z = _lanes(np.random.default_rng(22 + l), l)
+    z = z[z != 0]
+    j, dj = specfun._j_pair_lanes(l, z.reshape(-1, 1))
+    assert j.shape == dj.shape == (z.size, 1)
+    for got, v in zip(zip(j.ravel(), dj.ravel()), z.tolist()):
+        assert np.array(got).tobytes() == np.array(specfun._j_pair(l, v)).tobytes(), v
 
 
 @pytest.mark.parametrize("bad", [700.5j, -720j, 3.0 + 701j, complex(math.nan, 0.0), math.inf, complex(1.0, -math.inf)])

@@ -12,6 +12,7 @@ import math
 import tracemalloc
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -384,7 +385,6 @@ def test_radial_derivatives_match_mpmath_diff_of_the_closed_form(l, k2, theta):
     # built from mpmath's besselj alone.  At r = 0.2 the terms of the fourth
     # derivative (powers down to r^-5) cancel to 5e-5 of the largest, which
     # costs about four of the sixteen digits.
-    mpmath = pytest.importorskip("mpmath")
     e3 = radial_profiles(RadialKind.MATCHED, l, k2, theta).e3
     d1 = e3.deriv()
     d2 = d1.deriv()
