@@ -324,7 +324,7 @@ def surface_quadrature(l_max: int) -> SurfaceRule:
     """Surface rule integrating products of harmonics up to degree l_max
     each (polynomial degree 2 l_max + 1 in cos theta) exactly.  l_max
     runs to 2 * 200 + 8 = 408, which caps the size of a rule at 412 x 818
-    nodes; `gram_matrix`, the package's one caller, asks for at most 200."""
+    nodes; `gram_matrix`, the package's one caller, asks for at most 30."""
     l_max = _integer(l_max, "l_max", 0, 2 * _L_MAX + 8)
     n_theta = l_max + 4
     n_phi = max(4, 2 * l_max + 2)
@@ -372,11 +372,18 @@ def _basis_components(
     return comp
 
 
+_GRAM_L_MAX = 30  # its arrays grow as l_max^5: 24 (3 (l+1)^2 - 2) (l+4) (2l+2) bytes each
+
+
 def gram_matrix(l_max: int) -> tuple[list[tuple[int, ModeIndex]], np.ndarray]:
     """Gram matrix of all vector harmonics with degree <= l_max under
     the surface quadrature.  Returns (labels, matrix); orthonormality
-    means the matrix is the identity."""
-    labels = _basis_labels(l_max)  # refuses l_max > 200 before the rule is built
+    means the matrix is the identity.  l_max runs to 30, where a call
+    peaks at about 370 MB; a larger one raises InvalidMode up front."""
+    l_max = _integer(l_max, "l_max", 0, _L_MAX)
+    if l_max > _GRAM_L_MAX:
+        raise InvalidMode(f"gram_matrix takes l_max up to {_GRAM_L_MAX}, its memory bound, got {l_max!r}")
+    labels = _basis_labels(l_max)
     rule = surface_quadrature(l_max)
     comp = _basis_components(labels, rule)
     return labels, np.einsum("ick,jck->ij", comp * rule.weights, comp)

@@ -23,12 +23,12 @@ import math
 import sys
 from dataclasses import dataclass
 from enum import Enum
-from functools import cache, cached_property
+from functools import cached_property
 
 import numpy as np
 
 from .errors import DirichletResonance, DomainError, NotRepresentable, _positive, _validate_eig_args
-from .specfun import _j_and_deriv, _j_pair_lanes, _pow
+from .specfun import _j_and_deriv
 
 __all__ = [
     "RadialKind",
@@ -83,12 +83,25 @@ class RadialFunction:
         return _collect(l, pairs)
 
     def __call__(self, r):
-        """f at a radius r > 0, or at every entry of an array of radii."""
+        """f at a radius r > 0, or at every entry of an array of radii, one
+        scalar call each.  Raises NotRepresentable where a term's argument
+        |c r| is below 1e-300 (j_l'(c r) divides by it), its r^p would
+        overflow, or the sum is not finite."""
         if not (isinstance(r, float) and 0.0 < r < math.inf):
             if np.ndim(r):
-                return _sample((self,), r)[0]
+                r = np.asarray(r, dtype=float)
+                return np.array([self(v) for v in r.ravel().tolist()], dtype=complex).reshape(r.shape)
             r = _positive(r, "r")
-        return sum((coef * r**p * _j_and_deriv(self.l, c * r)[d] for (c, d, p), coef in self.terms), 0j)
+        total, log_r = 0j, math.log(r)
+        for (c, d, p), coef in self.terms:
+            z = c * r
+            if abs(z) < 1e-300 or p * log_r > 709.0:  # before the tower or r**p can fail
+                total = complex(math.nan)
+                break
+            total += coef * r**p * _j_and_deriv(self.l, z)[d]
+        if not cmath.isfinite(total):
+            raise NotRepresentable(f"a radial term of degree {self.l} leaves double range at r = {r!r}")
+        return total
 
     def deriv(self) -> "RadialFunction":
         """Exact derivative, closed under the spherical Bessel equation.
@@ -136,26 +149,6 @@ def _collect(l: int, pairs) -> RadialFunction:
     for key, coef in pairs:
         merged[key] = merged.get(key, 0.0) + coef
     return RadialFunction(l=l, terms=tuple((key, complex(coef)) for key, coef in merged.items() if coef != 0))
-
-
-def _sample(funcs, r) -> list[np.ndarray]:
-    # Each radial function at every entry of an array of finite radii
-    # r > 0, with one tower per (degree, wavenumber) and one r**p per power
-    # for them all; float's power rounds r**p as a scalar call does.
-    r = np.asarray(r, dtype=float)
-    if not np.all(good := (0.0 < r) & (r < math.inf)):
-        raise DomainError(f"r must be positive and finite, got {float(r[~good][0])!r}")
-    power = cache(lambda p: _pow(r, p))
-    pairs: dict[tuple[int, complex], tuple[np.ndarray, np.ndarray]] = {}
-    out = []
-    for f in funcs:
-        total = np.zeros(r.shape, dtype=complex)
-        for (c, d, p), coef in f.terms:
-            if (f.l, c) not in pairs:
-                pairs[f.l, c] = _j_pair_lanes(f.l, c * r)
-            total = total + coef * power(p) * pairs[f.l, c][d]
-        out.append(total)
-    return out
 
 
 def bessel_operator(f: RadialFunction, k2: complex) -> RadialFunction:

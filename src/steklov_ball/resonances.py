@@ -64,7 +64,8 @@ _STEP = math.pi / 8.0
 @dataclass(frozen=True)
 class RootList:
     """Sorted positive roots of one tagged function, with the residual
-    |f(root)| recorded for each root."""
+    |f(root)| recorded for each root.  Each lies more than 1e-6 (relative
+    below 1, as small-theta family-1 roots do) above the one before or 0."""
 
     tag: str
     l: int
@@ -79,7 +80,7 @@ class RootList:
         for root in self.roots:
             if not (root > previous):
                 raise DomainError("roots must be positive and strictly increasing")
-            if root - previous <= 1e-6:
+            if root - previous <= 1e-6 * min(1.0, root):
                 raise DomainError(f"roots {previous} and {root} are too close")
             previous = root
 

@@ -158,20 +158,13 @@ def sph_bessel_j_all(l: int, z: complex) -> np.ndarray:
 
 
 # The array tower: the scalar tower read at every entry of an array, so each
-# entry keeps its bits and raises its errors.  The verification layer builds
-# one per (degree, wavenumber) over all of its points.
+# entry keeps its bits and raises its errors.  The product form and the
+# divergence suite's closed form read it over all of their points.
 def _j_all_lanes(l: int, z) -> np.ndarray:
     # Shape (l + 1, *z.shape), C-contiguous.
     z = np.asarray(z, dtype=complex)
     rows = np.array([sph_bessel_j_all(l, v) for v in z.ravel().tolist()], dtype=complex)
     return np.ascontiguousarray(rows.T).reshape(l + 1, *z.shape)
-
-
-def _j_pair_lanes(l: int, z) -> tuple[np.ndarray, np.ndarray]:
-    # _j_pair at every entry of an array z != 0.
-    z = np.asarray(z, dtype=complex)
-    j, dj = np.array([_j_pair(l, v) for v in z.ravel().tolist()], dtype=complex).reshape(-1, 2).T
-    return j.reshape(z.shape), dj.reshape(z.shape)
 
 
 def sph_bessel_j(l: int, z: complex) -> complex:
@@ -206,8 +199,8 @@ def _j_pair(l: int, z: complex) -> tuple[complex, complex]:
 
 
 # Cached because the radial algebra evaluates a profile and all its
-# derivatives at the same few arguments.  The root scans and the array
-# tower call _j_pair itself: their points seldom repeat.
+# derivatives at the same arguments, one radius at a time, for an array of
+# radii too.  The root scans call _j_pair itself: their points seldom repeat.
 _j_and_deriv = functools.lru_cache(maxsize=4096)(_j_pair)
 
 

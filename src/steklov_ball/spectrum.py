@@ -58,7 +58,7 @@ from .harmonics import (
     vector_A,
 )
 from .kernel import lambda1, lambda2
-from .radial import RadialFunction, RadialKind, RadialPair, _sample, bessel_operator, radial_profiles
+from .radial import RadialFunction, RadialKind, RadialPair, bessel_operator, radial_profiles
 from .specfun import QuadratureRule, _j_all_lanes, gauss_legendre
 
 __all__ = [
@@ -223,9 +223,12 @@ def residual_system(pair: RadialPair, r: float) -> tuple[float, ...]:
     family 1 and (e1, 0.0) for family 2.  Residuals are normalized by the
     largest constituent term, so a solution yields values near machine
     epsilon regardless of scale; terms that are all 0 or not all finite,
-    or a pair that is zero in every slot, raise NotRepresentable.
+    or a pair that is zero in every slot, raise NotRepresentable, as does
+    an r < 1.5e-154, whose square (a divisor here) is not a normal double.
     """
     r = _positive(r, "r")
+    if r * r < sys.float_info.min:
+        raise NotRepresentable(f"residual: r^2 leaves the normal double range at r = {r!r}")
     big_l = pair.l * (pair.l + 1)
     root = math.sqrt(big_l)
     e1, e2, e3 = pair.e1, pair.e2, pair.e3
@@ -277,15 +280,15 @@ def divergence_field(mode: SteklovMode, p: BallPoint) -> float:
     function for a toroidal pair, so family 2 returns 0; as in
     `eigenfield`, a zero coefficient needs no harmonic.
     """
-    coef = float(_divergence_coef(mode, np.array([p.r]))[0])
+    coef = float(_divergence_coef(mode, p.r))
     return coef * scalar_Y(mode.n, p.direction) if coef else coef
 
 
-def _divergence_coef(mode: SteklovMode, r: np.ndarray) -> np.ndarray:
-    # Phi at an array of radii, asserted real against the terms it is
-    # built from; with one tower per wavenumber for all of them.
+def _divergence_coef(mode: SteklovMode, r):
+    # Phi at a radius or an array of radii, asserted real against the
+    # terms it is built from.
     pair = mode.radial
-    phi, de3, e3, e2 = _sample((pair.phi, pair.e3.deriv(), pair.e3, pair.e2), r)
+    phi, de3, e3, e2 = (f(r) for f in (pair.phi, pair.e3.deriv(), pair.e3, pair.e2))
     scale = np.maximum.reduce([np.abs(de3), np.abs(e3 / r), np.abs(e2 / r)])
     return _field_real(phi, scale * 1e-3, "divergence")
 
@@ -326,9 +329,7 @@ def verify_steklov_bc(mode: SteklovMode, p: SurfacePoint) -> float:
     return math.hypot(*diffs) / scale * vector_A(2, mode.n, p).norm()
 
 
-def _weak_identity_terms(
-    mode: SteklovMode, rule: QuadratureRule, samples: np.ndarray, at_one: np.ndarray
-) -> tuple[float, float, float, float]:
+def _weak_identity_terms(mode: SteklovMode, rule: QuadratureRule, at_one: np.ndarray) -> tuple[float, float, float, float]:
     # From e1, e2, e3, e1', e2', Phi at the rule's radii and e1, e2, e3 at
     # r = 1.  The A_tau are orthonormal on the sphere, so |E|^2 integrates
     # to sum e_tau^2, |curl E|^2 to sum c_tau^2 with the modal curl
@@ -338,13 +339,20 @@ def _weak_identity_terms(
     root = math.sqrt(l * (l + 1))
     radii = 0.5 * (rule.nodes + 1.0)
     rweights = 0.5 * rule.weights * radii**2
-    e1, e2, e3, de1, de2, phi = samples
+    pair = mode.radial
+    slots = {"e1": pair.e1, "e2": pair.e2, "e3": pair.e3}
+    slots.update({"e1'": pair.e1.deriv(), "e2'": pair.e2.deriv(), "div": pair.phi})
+    e1, e2, e3, de1, de2, phi = (_real_samples(f(radii), what) for what, f in slots.items())
     curl_sq = (-(de2 + e2 / radii) + root * e3 / radii) ** 2 + (de1 + e1 / radii) ** 2 + (root * e1 / radii) ** 2
     t_curl = float(np.sum(rweights * curl_sq))
     t_field = mode.k2 * float(np.sum(rweights * (e1**2 + e2**2 + e3**2)))
     t_div = mode.theta * float(np.sum(rweights * phi**2))
     t_boundary = mode.eigenvalue * float(np.sum(at_one**2))
     return t_curl, t_field, t_div, t_boundary
+
+
+def _real_samples(values: np.ndarray, what: str) -> np.ndarray:
+    return _field_real(values, np.max(np.abs(values)) + 1e-300, what)
 
 
 _REFINEMENT_TOL = 1e-8  # the weak-identity suite's tolerance, relative to the largest term
@@ -366,17 +374,10 @@ def verify_weak_identity(mode: SteklovMode) -> float:
     0, subnormal or not finite.
     """
     radial_order = 2 * mode.n.l + 12
-    rules = gauss_legendre(radial_order), gauss_legendre(radial_order + 4)
-    radii = [0.5 * (rule.nodes + 1.0) for rule in rules]
-    # One array call per slot over the radii of both rules and r = 1.
     pair = mode.radial
-    slots = {"e1": pair.e1, "e2": pair.e2, "e3": pair.e3}
-    slots.update({"e1'": pair.e1.deriv(), "e2'": pair.e2.deriv(), "div": pair.phi})
-    values = _sample(slots.values(), np.concatenate([*radii, [1.0]]))
-    samples = np.array([_field_real(v, np.max(np.abs(v)) + 1e-300, what) for what, v in zip(slots, values)])
-    cut, at_one = radii[0].size, samples[:3, -1]
-    base = _weak_identity_terms(mode, rules[0], samples[:, :cut], at_one)
-    refined = _weak_identity_terms(mode, rules[1], samples[:, cut:-1], at_one)
+    at_one = _real_samples(np.array([f(1.0) for f in (pair.e1, pair.e2, pair.e3)]), "boundary trace")
+    base = _weak_identity_terms(mode, gauss_legendre(radial_order), at_one)
+    refined = _weak_identity_terms(mode, gauss_legendre(radial_order + 4), at_one)
     _checked_scale(base, "weak identity")
     scale = _checked_scale(refined, "weak identity")
     base_value = base[0] - base[1] + base[2] + base[3]

@@ -8,6 +8,7 @@ here against finite differences on the corresponding Cartesian fields.
 from __future__ import annotations
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -95,6 +96,20 @@ def test_gram_matrix_identity():
     labels, g = gram_matrix(6)
     assert g.shape == (len(labels), len(labels))
     assert np.max(np.abs(g - np.eye(len(labels)))) < 1e-10
+
+
+def test_gram_matrix_refuses_a_degree_past_its_memory_bound_before_allocating():
+    # The component array alone would be 0.44 GB at l_max = 40 and 238 GB
+    # at 200; the refusal comes before any of it, or the labels, is built.
+    tracemalloc.start()
+    try:
+        for bad in (31, 40, 200):
+            with pytest.raises(InvalidMode, match=rf"up to 30, its memory bound, got {bad}$"):
+                gram_matrix(bad)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 100_000, peak
 
 
 def test_vector_basis_frame_structure():

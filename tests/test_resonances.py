@@ -180,6 +180,17 @@ def test_root_list_validation():
         RootList(tag="bessel", l=1, theta=None, roots=(1.0,), residuals=(0.0, 0.0))
 
 
+@pytest.mark.parametrize("l", [1, 2, 5])
+@pytest.mark.parametrize("theta", [1e-14, 1e-16, 1e-40, 1e-100])
+def test_family1_roots_at_small_theta_are_scaled_zeros_of_the_next_bessel(l, theta):
+    # As theta -> 0 the family-1 poles tend to sqrt(theta) times the zeros
+    # of j_{l+1}, far below 1e-6 apart; the gap rule between roots is
+    # relative there, so the list is accepted.
+    roots = family1_resonances(l, theta, 5).roots
+    for root, zero in zip(roots, bessel_zeros(l + 1, 5).roots, strict=True):
+        assert abs(root / math.sqrt(theta) - zero) <= 1e-14 * zero
+
+
 def test_count_and_degree_validation():
     with pytest.raises(DomainError):
         bessel_zeros(1, 0)

@@ -302,16 +302,6 @@ def test_array_tower_matches_the_scalar_tower_lane_by_lane(l):
         assert lane.tobytes() == sph_bessel_j_all(l, v).tobytes(), v
 
 
-@pytest.mark.parametrize("l", [0, 1, 2, 7, 30, 99, 150, 189, 200])
-def test_array_pair_matches_the_scalar_pair_lane_by_lane(l):
-    z = _lanes(np.random.default_rng(22 + l), l)
-    z = z[z != 0]
-    j, dj = specfun._j_pair_lanes(l, z.reshape(-1, 1))
-    assert j.shape == dj.shape == (z.size, 1)
-    for got, v in zip(zip(j.ravel(), dj.ravel()), z.tolist()):
-        assert np.array(got).tobytes() == np.array(specfun._j_pair(l, v)).tobytes(), v
-
-
 @pytest.mark.parametrize("bad", [700.5j, -720j, 3.0 + 701j, complex(math.nan, 0.0), math.inf, complex(1.0, -math.inf)])
 def test_array_tower_raises_the_scalar_error_for_a_bad_lane(bad):
     with pytest.raises(SteklovBallError) as scalar:

@@ -26,6 +26,7 @@ from steklov_ball import (
     QuadratureTooCoarse,
     RadialKind,
     SurfacePoint,
+    Vec3,
     bessel_zeros,
     divergence_field,
     eigenfield,
@@ -524,6 +525,53 @@ def test_eigenfield_checks_refuse_an_overflowed_mode():
         for check in (lambda: verify_steklov_bc(mode, SURFACE_POINTS[0]), lambda: verify_weak_identity(mode)):
             with pytest.raises(NotRepresentable, match="leaves double range"):
                 check()
+
+
+TINY_RADII = (5e-324, 1e-300, 1e-200, 1e-160)
+
+
+def _finite_or_refused(call):
+    # The call returns finite numbers or raises NotRepresentable; any other
+    # error, a NaN, an infinity or a numpy warning fails.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            value = call()
+        except NotRepresentable:
+            return
+    if isinstance(value, Vec3):
+        value = (value.er, value.etheta, value.ephi)
+    assert np.all(np.isfinite(np.asarray(value))), value
+
+
+@pytest.mark.parametrize("r", TINY_RADII)
+@pytest.mark.parametrize("kind", list(RadialKind))
+@pytest.mark.parametrize("l, k2, theta", [(3, 5.0, 0.5), (1, -3.0, 2.0), (2, 1e-290, 1.0)])
+def test_radial_functions_at_tiny_radii_are_finite_or_refused(r, kind, l, k2, theta):
+    # Float powers r**p overflowed (OverflowError), j_l'(c r) divided by a
+    # subnormal c r (NaN), and c r could round to 0 (ZeroDivisionError).
+    pair = radial_profiles(kind, l, k2, theta)
+    for f in (pair.e1, pair.e2, pair.e3, pair.phi):
+        for g in (f, f.deriv(), f.deriv().deriv()):
+            _finite_or_refused(lambda: g(r))
+            _finite_or_refused(lambda: g(np.array([r])))
+            _finite_or_refused(lambda: g(np.array([[0.5, r], [r, 1.0]])))
+
+
+@pytest.mark.parametrize("r", TINY_RADII)
+@pytest.mark.parametrize("family, k2, theta", [(1, 5.0, 2.0), (1, -3.0, 1.0), (2, 5.0, 1.0), (2, -3.0, 1.0)])
+def test_eigenfield_checks_at_tiny_radii_are_finite_or_refused(r, family, k2, theta):
+    # r * r underflowed to 0 in the radial system (ZeroDivisionError), and
+    # the divergence overflowed in float powers or warned in numpy.
+    mode = steklov_mode(family, ModeIndex("even", 1, 3), k2, theta)
+    p = BallPoint(r, SurfacePoint(1.0, 0.5))
+    _finite_or_refused(lambda: residual_system(mode.radial, r))
+    _finite_or_refused(lambda: eigenfield(mode, p))
+    _finite_or_refused(lambda: divergence_field(mode, p))
+    if theta == 1.0:
+        for f in (mode.radial.e1, mode.radial.e3):
+            if f.terms:
+                _finite_or_refused(lambda: residual_fourth_order(3, k2, r, f))
 
 
 def test_weak_identity_quadrature_guards():
