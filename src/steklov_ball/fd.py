@@ -8,6 +8,8 @@ against something that shares no code with them.
 
 from __future__ import annotations
 
+import math
+import sys
 from typing import Callable, Sequence
 
 import numpy as np
@@ -19,17 +21,21 @@ __all__ = ["divergence", "vector_laplacian"]
 Vector = Callable[[np.ndarray], Sequence[complex]]
 
 
-def _point(p: Sequence[float]) -> np.ndarray:
+def _stencil(p: Sequence[float], h: float) -> tuple[np.ndarray, float]:
+    # The point and the step, refused where p +- h rounds back to p on
+    # some axis: the stencil would then difference a field with itself.
+    h = _positive(h, "step")
     p = np.asarray(p, dtype=float)
     if p.shape != (3,):
         raise DomainError(f"point must have 3 components, got shape {p.shape}")
-    return p
+    if np.any((p + h == p) | (p - h == p)):
+        raise DomainError(f"step {h!r} is lost to rounding at the point {p.tolist()!r}")
+    return p, h
 
 
 def divergence(field: Vector, p, h: float):
     """Divergence of a vector field at a point, by the O(h^2) stencil."""
-    h = _positive(h, "step")
-    p = _point(p)
+    p, h = _stencil(p, h)
     total = 0.0
     for axis in range(3):
         e = np.zeros(3)
@@ -42,9 +48,11 @@ def divergence(field: Vector, p, h: float):
 
 def vector_laplacian(field: Vector, p, h: float) -> np.ndarray:
     """Componentwise Laplacian of a vector field at a point, by the
-    O(h^2) stencil; real when every component is."""
-    h = _positive(h, "step")
-    p = _point(p)
+    O(h^2) stencil; real when every component is.  The step's square
+    divides the sum, so it must be a normal double."""
+    p, h = _stencil(p, h)
+    if not sys.float_info.min <= h * h < math.inf:
+        raise DomainError(f"step {h!r} squared leaves the normal double range")
     center = np.asarray(field(p), dtype=complex)
     total = -6.0 * center
     for axis in range(3):

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import fd
-from .errors import _L_MAX, DomainError, InvalidMode, StepTooLarge, _choice, _integer, _positive
+from .errors import _L_MAX, DomainError, InvalidMode, StepTooLarge, _choice, _integer, _positive, _real
 from .specfun import assoc_legendre_tower, gauss_legendre
 
 __all__ = [
@@ -80,10 +80,9 @@ class SurfacePoint:
     phi: float
 
     def __post_init__(self) -> None:
-        theta = float(self.theta)
-        phi = float(self.phi)
+        theta, phi = _real(self.theta), _real(self.phi)
         if not (math.isfinite(theta) and math.isfinite(phi)):
-            raise DomainError("angles must be finite")
+            raise DomainError(f"angles must be finite reals, got {self.theta!r}, {self.phi!r}")
         if not (0.0 <= theta <= math.pi):
             raise DomainError(f"theta must lie in [0, pi], got {theta!r}")
         if not (0.0 <= phi < 2.0 * math.pi):
@@ -106,9 +105,9 @@ class BallPoint:
     direction: SurfacePoint
 
     def __post_init__(self) -> None:
-        r = float(self.r)
+        r = _real(self.r)
         if not (0.0 < r <= 1.0):
-            raise DomainError(f"r must lie in (0, 1], got {r!r}")
+            raise DomainError(f"r must lie in (0, 1], got {self.r!r}")
         object.__setattr__(self, "r", r)
 
     def to_xyz(self) -> np.ndarray:
@@ -148,12 +147,10 @@ class Vec3:
     def __post_init__(self) -> None:
         for name in ("er", "etheta", "ephi"):
             v = getattr(self, name)
-            if isinstance(v, complex):
-                raise DomainError(f"{name} must be real, got {v!r}")
-            v = float(v)
-            if not math.isfinite(v):
-                raise DomainError(f"{name} must be finite, got {v!r}")
-            object.__setattr__(self, name, v)
+            number = _real(v)
+            if not math.isfinite(number):
+                raise DomainError(f"{name} must be a finite real, got {v!r}")
+            object.__setattr__(self, name, number)
 
     def to_cartesian(self, direction: SurfacePoint) -> np.ndarray:
         e_r, e_t, e_p = _frame(direction)
@@ -294,14 +291,8 @@ def check_vector_laplacian(tau: int, n: ModeIndex, p: BallPoint, h: float) -> fl
 
     numeric = fd.vector_laplacian(field, p.to_xyz(), h)
     coeffs = _laplacian_coeffs(tau, n.l, *profile(p.r), p.r)
-    parts = [
-        vector_A(t, n, p.direction) * c
-        for t, c in zip((1, 2, 3), coeffs)
-        if c != 0.0
-    ]
-    exact = np.zeros(3)
-    for part in parts:
-        exact = exact + part.to_cartesian(p.direction)
+    terms = (vector_A(t, n, p.direction) * c for t, c in zip((1, 2, 3), coeffs) if c)
+    exact = sum(terms, Vec3(0.0, 0.0, 0.0)).to_cartesian(p.direction)
     return float(np.max(np.abs(np.asarray(numeric, dtype=float) - exact)))
 
 
@@ -337,41 +328,6 @@ def surface_quadrature(l_max: int) -> SurfaceRule:
     return SurfaceRule(theta=theta, phi=phi, weights=weights)
 
 
-def _angular_tables(
-    modes: list[ModeIndex], rule: SurfaceRule
-) -> dict[ModeIndex, tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    # Per-mode arrays (Y, dY/dtheta, (1/sin) dY/dphi) over rule nodes.
-    # The rule is a product rule, so each order's tower is built once
-    # over the distinct theta nodes and shared by all degrees; only the
-    # degrees asked for are spread over all nodes.
-    l_max = max(n.l for n in modes)
-    x, inverse = np.unique(np.cos(rule.theta), return_inverse=True)
-    towers = {m: assoc_legendre_tower(m, l_max, x) for m in {n.m for n in modes}}
-    return {n: _angular(n, [t[n.l][inverse] for t in towers[n.m]], rule.phi) for n in modes}
-
-
-def _basis_labels(l_max: int) -> list[tuple[int, ModeIndex]]:
-    labels = []
-    for n in enumerate_modes(l_max):
-        for tau in (1, 2, 3):
-            if tau in (1, 2) and n.l == 0:
-                continue
-            labels.append((tau, n))
-    return labels
-
-
-def _basis_components(
-    labels: list[tuple[int, ModeIndex]], rule: SurfaceRule
-) -> np.ndarray:
-    # Array of shape (len(labels), 3, n_nodes) holding the local-frame
-    # components of each basis vector field at each node.
-    tables = _angular_tables(list(dict.fromkeys(n for _, n in labels)), rule)
-    comp = np.zeros((len(labels), 3, rule.theta.shape[0]))
-    for i, (tau, n) in enumerate(labels):
-        comp[i, 0], comp[i, 1], comp[i, 2] = _components(tau, n.l, *tables[n])
-    return comp
-
-
 _GRAM_L_MAX = 30  # its arrays grow as l_max^5: 24 (3 (l+1)^2 - 2) (l+4) (2l+2) bytes each
 
 
@@ -383,7 +339,16 @@ def gram_matrix(l_max: int) -> tuple[list[tuple[int, ModeIndex]], np.ndarray]:
     l_max = _integer(l_max, "l_max", 0, _L_MAX)
     if l_max > _GRAM_L_MAX:
         raise InvalidMode(f"gram_matrix takes l_max up to {_GRAM_L_MAX}, its memory bound, got {l_max!r}")
-    labels = _basis_labels(l_max)
     rule = surface_quadrature(l_max)
-    comp = _basis_components(labels, rule)
+    # A product rule: each order's tower runs once over the distinct theta
+    # nodes, and each degree's rows spread over all nodes as it is read.
+    x, inverse = np.unique(np.cos(rule.theta), return_inverse=True)
+    towers = [assoc_legendre_tower(m, l_max, x) for m in range(l_max + 1)]
+    labels, comp = [], []
+    for n in enumerate_modes(l_max):
+        angular = _angular(n, [t[n.l][inverse] for t in towers[n.m]], rule.phi)
+        for tau in (1, 2, 3) if n.l else (3,):
+            labels.append((tau, n))
+            comp.append(np.broadcast_arrays(*_components(tau, n.l, *angular)))
+    comp = np.array(comp)  # (basis vector, frame component, node)
     return labels, np.einsum("ick,jck->ij", comp * rule.weights, comp)

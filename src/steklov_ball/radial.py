@@ -86,10 +86,13 @@ class RadialFunction:
         """f at a radius r > 0, or at every entry of an array of radii, one
         scalar call each.  Raises NotRepresentable where a term's argument
         |c r| is below 1e-300 (j_l'(c r) divides by it), its r^p would
-        overflow, or the sum is not finite."""
+        overflow, or the sum is not finite (as where a j_l' term reads a
+        j_l(c r) that is 0 or subnormal)."""
         if not (isinstance(r, float) and 0.0 < r < math.inf):
             if np.ndim(r):
-                r = np.asarray(r, dtype=float)
+                r = np.asarray(r)
+                if r.dtype.kind not in "biuf":
+                    raise DomainError(f"r must be real, got {r!r}")
                 return np.array([self(v) for v in r.ravel().tolist()], dtype=complex).reshape(r.shape)
             r = _positive(r, "r")
         total, log_r = 0j, math.log(r)

@@ -131,13 +131,16 @@ def sph_bessel_j_all(l: int, z: complex) -> np.ndarray:
     Raises
     ------
     DomainError
-        If the order is out of range or z is not finite.
+        If the order is out of range or z is not a finite number.
     NotRepresentable
         (also an OverflowError) For every |Im z| > 700, where sin z and
         cos z near the top of double range.
     """
     l = _integer(l, "order l", 0, _L_MAX, DomainError)
-    z = complex(z)
+    try:
+        z = complex(z)
+    except (TypeError, ValueError):
+        raise DomainError(f"argument must be a complex number, got {z!r}") from None
     if not (math.isfinite(z.real) and math.isfinite(z.imag)):
         raise DomainError(f"argument must be finite, got {z!r}")
     if abs(z.imag) > _IM_MAX:
@@ -177,13 +180,22 @@ def sph_bessel_j_deriv(l: int, z: complex) -> complex:
 
     Uses j_l' = j_{l-1} - (l+1)/z j_l (and j_0' = -j_1), which keeps
     the evaluation on the same stable table as the values themselves.
+    Where j_l(z) is 0 or subnormal at z != 0 the second term has lost its
+    digits, and NotRepresentable is raised; that covers every z where
+    j_l'(z) itself underflows too, such as j_200'(1).
     """
     l = _integer(l, "order l", 0, _L_MAX, DomainError)
-    z = complex(z)
+    try:
+        z = complex(z)
+    except (TypeError, ValueError):
+        raise DomainError(f"argument must be a complex number, got {z!r}") from None
     if z == 0:
         # j_l ~ z^l / (2l+1)!!, so only l = 1 has a nonzero slope at 0.
         return complex(1.0 / 3.0) if l == 1 else complex(0.0)
-    return _j_and_deriv(l, z)[1]
+    slope = _j_and_deriv(l, z)[1]
+    if math.isnan(slope.real):
+        raise NotRepresentable(f"j_{l}(z) is 0 or subnormal at z = {z!r}; its derivative has lost its digits")
+    return slope
 
 
 def _j_deriv(tab: np.ndarray, m: int, z: complex) -> complex:
@@ -201,7 +213,14 @@ def _j_pair(l: int, z: complex) -> tuple[complex, complex]:
 # Cached because the radial algebra evaluates a profile and all its
 # derivatives at the same arguments, one radius at a time, for an array of
 # radii too.  The root scans call _j_pair itself: their points seldom repeat.
-_j_and_deriv = functools.lru_cache(maxsize=4096)(_j_pair)
+# Where j_l is 0 or subnormal the slope's (l+1)/z j_l term has lost its
+# digits, so the slope is NaN, which every caller's finiteness check refuses.
+@functools.lru_cache(maxsize=4096)
+def _j_and_deriv(l: int, z: complex) -> tuple[complex, complex]:
+    tab = sph_bessel_j_all(max(l, 1), z)
+    if abs(tab[l]) < sys.float_info.min:
+        return complex(tab[l]), complex(math.nan)
+    return complex(tab[l]), complex(_j_deriv(tab, l, z))
 
 
 # ----------------------------------------------------------------------

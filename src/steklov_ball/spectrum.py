@@ -267,6 +267,7 @@ def residual_fourth_order(l: int, k2: float, r: float, e3: RadialFunction) -> fl
     if not math.isfinite(number):
         raise DomainError(f"k2 must be a finite real number, got {k2!r}")
     k2 = number
+    r = _positive(r, "r")
     big_l = l * (l + 1)
     first = bessel_operator(e3, k2)
     second = bessel_operator(first, k2)

@@ -19,7 +19,9 @@ from steklov_ball import (
     InvalidMode,
     ModeIndex,
     RadialKind,
+    BallPoint,
     SurfacePoint,
+    Vec3,
     ball_steklov_spectrum,
     bessel_zeros,
     enumerate_modes,
@@ -168,3 +170,28 @@ def test_radius_that_is_not_finite_is_refused_by_name():
         for bad in (math.inf, math.nan):
             with pytest.raises(DomainError, match=f"^r must be positive and finite, got {bad!r}$"):
                 call(bad)
+
+
+def _bad_value_cases():
+    # (call with the value, the value): inputs that complex() or float()
+    # refuse, a complex angle, and arrays or lists where one real is due.
+    # The radial call takes arrays of radii, but only of real numbers.
+    point = SurfacePoint(1.0, 1.0)
+    calls = {
+        "sph_bessel_j_all": lambda v: sph_bessel_j_all(2, v),
+        "sph_bessel_j": lambda v: sph_bessel_j(2, v),
+        "sph_bessel_j_deriv": lambda v: sph_bessel_j_deriv(2, v),
+    }
+    cases = [(name, call, bad) for name, call in calls.items() for bad in (None, "a", [1.0], np.array([1.0, 2.0]))]
+    cases += [("SurfacePoint", lambda v: SurfacePoint(v, 0.5), bad) for bad in (None, "a", 1j)]
+    cases += [("BallPoint", lambda v: BallPoint(v, point), [1.0])]
+    cases += [("Vec3", lambda v: Vec3(v, 0, 0), bad) for bad in (None, "a", 1j)]
+    cases += [("residual_fourth_order", lambda v: residual_fourth_order(2, 7.0, v, E3), bad) for bad in (np.array([0.5]), [0.5])]
+    cases += [("RadialFunction", E3, bad) for bad in (np.array([0.5 + 1j]), np.array(["a"]))]
+    return [pytest.param(call, bad, id=f"{name}-{bad!r}") for name, call, bad in cases]
+
+
+@pytest.mark.parametrize("call,bad", _bad_value_cases())
+def test_value_that_is_not_a_number_raises_domain_error_quoting_it(call, bad):
+    with pytest.raises(DomainError, match=re.escape(repr(bad))):
+        call(bad)

@@ -573,3 +573,24 @@ def test_config_file_merge(tmp_path):
     assert r.returncode == 0
     ran = {line.split(",")[0] for line in r.stdout.strip().splitlines()[1:]}
     assert ran == {"harmonics"}
+
+
+def _readme_examples() -> list[tuple[list[str], str]]:
+    # The README's ``$ steklov-ball ...`` blocks with their printed output,
+    # skipping any block that elides part of its output with ``...``.
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    examples = []
+    for block in text.split("```")[1::2]:
+        command, _, output = block.strip("\n").partition("\n")
+        if command.startswith("$ steklov-ball ") and "..." not in output:
+            examples.append((command.split()[2:], output + "\n"))
+    return examples
+
+
+def test_readme_examples_print_their_stdout_byte_for_byte():
+    examples = _readme_examples()
+    assert sorted(args[0] for args, _ in examples) == ["eigs", "zeros"]
+    for args, output in examples:
+        r = run_cli(*args)
+        assert r.returncode == 0, r.stderr
+        assert r.stdout == output, args

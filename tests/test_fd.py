@@ -56,3 +56,16 @@ def test_rejects_bad_step_and_point():
             divergence(field, P, h)
     with pytest.raises(DomainError):
         vector_laplacian(field, [1.0, 2.0], 1e-3)
+
+
+def test_step_too_small_for_the_stencil_is_refused_by_value():
+    # p +- h rounded back to p: the divergence of p read 0.0 (it is 3), and
+    # the Laplacian of p * p read nan and inf.  At the origin p +- h keeps
+    # the step, but h * h = 1e-320 is subnormal, and the stencil's sum
+    # divided by it kept four digits.
+    with pytest.raises(DomainError, match="^step 1e-18 is lost to rounding"):
+        divergence(lambda p: p, [0.1, 0.2, 0.3], 1e-18)
+    with pytest.raises(DomainError, match="^step 1e-200 is lost to rounding"):
+        vector_laplacian(lambda p: p * p, [0.1, 0.2, 0.3], 1e-200)
+    with pytest.raises(DomainError, match="^step 1e-160 squared"):
+        vector_laplacian(lambda p: p * p, [0.0, 0.0, 0.0], 1e-160)

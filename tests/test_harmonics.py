@@ -8,6 +8,9 @@ here against finite differences on the corresponding Cartesian fields.
 from __future__ import annotations
 
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -98,6 +101,19 @@ def test_gram_matrix_identity():
     assert np.max(np.abs(g - np.eye(len(labels)))) < 1e-10
 
 
+def test_gram_matrix_bits_do_not_follow_the_blas_thread_count():
+    # The README promises results that do not depend on thread counts; a
+    # BLAS product (A @ B.T) would move |G - I| at l_max 6 from 3.33e-15 to
+    # 3.11e-15 between one and two OpenBLAS threads.
+    code = "import sys, steklov_ball; sys.stdout.buffer.write(steklov_ball.gram_matrix(6)[1].tobytes())"
+    runs = [
+        subprocess.run([sys.executable, "-c", code], capture_output=True, check=True,
+                       env={**os.environ, "OPENBLAS_NUM_THREADS": threads}).stdout
+        for threads in ("1", "2")
+    ]
+    assert runs[0] == runs[1] == gram_matrix(6)[1].tobytes()
+
+
 def test_gram_matrix_refuses_a_degree_past_its_memory_bound_before_allocating():
     # The component array alone would be 0.44 GB at l_max = 40 and 238 GB
     # at 200; the refusal comes before any of it, or the labels, is built.
@@ -185,6 +201,12 @@ def test_vector_laplacian_step_guard():
     p = BallPoint(0.2, SurfacePoint(1.0, 2.0))
     with pytest.raises(StepTooLarge):
         check_vector_laplacian(1, ModeIndex("even", 0, 1), p, 0.1)
+    # A step that p +- h rounds away read nan at h = 1e-160 and 8.3e183 at
+    # h = 1e-100.
+    p = BallPoint(0.6, SurfacePoint(0.9, 2.2))
+    for h in (1e-160, 1e-100):
+        with pytest.raises(DomainError, match=f"^step {h!r} is lost to rounding"):
+            check_vector_laplacian(2, ModeIndex("even", 1, 3), p, h)
 
 
 def test_ball_point_validation():

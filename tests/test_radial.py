@@ -15,6 +15,7 @@ import pytest
 from steklov_ball import (
     DomainError,
     InvalidMode,
+    NotRepresentable,
     RadialFunction,
     RadialKind,
     bessel_operator,
@@ -223,3 +224,11 @@ def test_radial_function_on_an_array_refuses_any_nonpositive_radius():
     for radii in ([0.5, 0.0], [[0.3, 0.9], [-1.0, 0.2]], [0.4, math.nan]):
         with pytest.raises(DomainError, match="r must be positive"):
             f(np.array(radii))
+
+
+def test_slope_term_where_j_l_underflows_is_refused():
+    # e3 = q j_3'(q r) read 2.1077e-320 at r = 1e-160, where mpmath gives
+    # 9.035e-321: j_3(q r) underflowed and the slope lost its second term.
+    e3 = radial_profiles(RadialKind.COMPRESSIVE, 3, 5.0, 0.5).e3
+    with pytest.raises(NotRepresentable):
+        e3(1e-160)

@@ -37,6 +37,32 @@ BESSEL_ORACLE = [
 ]
 
 
+# (l, z, j_l'(z)) where j_l(z) is 0 or subnormal for most l -- mpmath,
+# 40 digits, rounded to 20; values below double range read as 0.0.
+TINY_ARGUMENT_SLOPES = [
+    (l, z, want)
+    for l, row in (
+        (1, (0.33333333333333333333, 0.33333333333333333333, 0.33333333333333333333, 0.33333333333333333333)),
+        (2, (1.3333333333333333667e-301, 1.3333333333333358475e-310, 6.5875419445499539224e-325, 1.3333333333333333333e-161j)),
+        (3, (2.8571428571428572861e-602, 2.8571428571428679177e-620, 6.9743103543008016747e-649, -2.8571428571428571429e-322)),
+        (10, (7.2730919455574246168e-2710, 7.273091945557546403e-2791, 1.2757952764286211015e-2919, 0.0)),
+    )
+    for z, want in zip((1e-300, 1e-309, 5e-324, 1e-160j), row)
+]
+
+
+@pytest.mark.parametrize("l,z,want", TINY_ARGUMENT_SLOPES)
+def test_slope_where_j_l_underflows_is_right_or_refused(l, z, want):
+    # j_l' = j_{l-1} - (l+1)/z j_l loses the digits of its second term where
+    # j_l is 0 or subnormal: j_2'(1e-300) read 3.3e-301, j_1'(1e-309)
+    # -inf+nanj and j_3'(1e-320) nan+nanj.
+    try:
+        got = sph_bessel_j_deriv(l, z)
+    except NotRepresentable:
+        return
+    assert abs(got - want) <= 1e-14 * abs(want)
+
+
 @pytest.mark.parametrize("l,z,jval,jder", BESSEL_ORACLE)
 def test_bessel_spot_values(l, z, jval, jder):
     assert sph_bessel_j(l, z) == pytest.approx(jval, rel=1e-13, abs=1e-15)

@@ -469,7 +469,8 @@ def test_eigenfields_are_real_for_negative_k2():
 def test_eigenfield_checks_refuse_an_underflowed_mode():
     # Family 2 at l = 200, k^2 = 0.3: e1 is exactly 0 at r = 1 and at
     # r = 0.5, so each check would compare 0 with 0 and pass vacuously.
-    # Family 1 at l = 140, k^2 = 1: every weak-form term is 0.  At l = 150
+    # Family 1 at l = 140, k^2 = 1: every weak-form term is 0.  Each is
+    # refused where a j_l' term reads that underflowed j_l.  At l = 150
     # j_l(1) itself is subnormal, so the mode is refused when it is built.
     mode = steklov_mode(2, ModeIndex("even", 0, 200), 0.3)
     checks = (
@@ -480,7 +481,7 @@ def test_eigenfield_checks_refuse_an_underflowed_mode():
         lambda: verify_weak_identity(steklov_mode(1, ModeIndex("even", 0, 140), 1.0)),
     )
     for check in checks:
-        with pytest.raises(NotRepresentable, match="underflows to 0"):
+        with pytest.raises(NotRepresentable, match="^a radial term of degree (200|140) leaves double range"):
             check()
     with pytest.raises(NotRepresentable, match="not representable"):
         steklov_mode(1, ModeIndex("even", 0, 150), 1.0)
@@ -489,14 +490,15 @@ def test_eigenfield_checks_refuse_an_underflowed_mode():
 def test_eigenfield_checks_refuse_a_subnormal_mode():
     # Family 2 at l = 155, k^2 = 1: e1(1) = j_155(1) is subnormal, so the
     # boundary residual read 4.5e-3 and the radial system (0.0, 0.0), with
-    # no digits left to compare.  The same at l = 150, r = 0.9.
+    # no digits left to compare.  The same at l = 150, r = 0.9.  Each is
+    # refused where e1' reads j_l' from that subnormal j_l.
     checks = (
         lambda: verify_steklov_bc(steklov_mode(2, ModeIndex("even", 0, 155), 1.0), SURFACE_POINTS[0]),
         lambda: residual_system(steklov_mode(2, ModeIndex("even", 0, 155), 1.0).radial, 1.0),
         lambda: residual_system(steklov_mode(2, ModeIndex("even", 0, 150), 1.0).radial, 0.9),
     )
     for check in checks:
-        with pytest.raises(NotRepresentable, match="is subnormal"):
+        with pytest.raises(NotRepresentable, match="^a radial term of degree 15[05] leaves double range at r = (1.0|0.9)$"):
             check()
 
 
