@@ -33,9 +33,23 @@ def _stencil(p: Sequence[float], h: float) -> tuple[np.ndarray, float]:
     return p, h
 
 
+def _floor(p: np.ndarray, h: float, power: float, name: str) -> None:
+    # Refuse a step below eps**power * max(1, |p|_inf), where the rounding
+    # of the field values, amplified by the stencil's 1/h or 1/h^2, would
+    # swamp the difference.
+    floor = sys.float_info.epsilon**power * max(1.0, float(np.max(np.abs(p))))
+    if h < floor:
+        raise DomainError(f"step {h!r} is below the {name} floor {floor:.3g} at the point {p.tolist()!r}")
+
+
 def divergence(field: Vector, p, h: float):
-    """Divergence of a vector field at a point, by the O(h^2) stencil."""
+    """Divergence of a vector field at a point, by the O(h^2) stencil.
+
+    The step must be at least sqrt(eps) * max(1, |p|_inf), which bounds
+    the quotient's roundoff, of order eps |F| / h, by about 1.5e-8 |F|; a
+    smaller step raises DomainError."""
     p, h = _stencil(p, h)
+    _floor(p, h, 1.0 / 2.0, "divergence")
     total = 0.0
     for axis in range(3):
         e = np.zeros(3)
@@ -49,10 +63,14 @@ def divergence(field: Vector, p, h: float):
 def vector_laplacian(field: Vector, p, h: float) -> np.ndarray:
     """Componentwise Laplacian of a vector field at a point, by the
     O(h^2) stencil; real when every component is.  The step's square
-    divides the sum, so it must be a normal double."""
+    divides the sum, so it must be a normal double.  The step must also
+    be at least eps^(1/3) * max(1, |p|_inf), which bounds the quotient's
+    roundoff, of order eps |F| / h^2, by about 6e-6 |F|; a smaller step
+    raises DomainError."""
     p, h = _stencil(p, h)
     if not sys.float_info.min <= h * h < math.inf:
         raise DomainError(f"step {h!r} squared leaves the normal double range")
+    _floor(p, h, 1.0 / 3.0, "Laplacian")
     center = np.asarray(field(p), dtype=complex)
     total = -6.0 * center
     for axis in range(3):

@@ -85,20 +85,20 @@ class RootList:
             previous = root
 
 
-def _bisect(f: Callable[[float], float], lo: float, hi: float, flo: float, fhi: float) -> float:
+def _bisect(f: Callable[[float], float], lo: float, hi: float, flo: float, fhi: float) -> tuple[float, float]:
     """Bisection of a bracketed sign change down to adjacent floats;
-    returns the endpoint with the smaller |f|."""
+    returns the endpoint with the smaller |f|, and that |f|."""
     mid = 0.5 * (lo + hi)
     while lo < mid < hi:
         fmid = f(mid)
         if fmid == 0.0:
-            return mid
+            return mid, 0.0
         if (flo < 0.0) == (fmid < 0.0):
             lo, flo = mid, fmid
         else:
             hi, fhi = mid, fmid
         mid = 0.5 * (lo + hi)
-    return lo if abs(flo) <= abs(fhi) else hi
+    return (lo, abs(flo)) if abs(flo) <= abs(fhi) else (hi, abs(fhi))
 
 
 def _scan(
@@ -131,10 +131,10 @@ def _scan(
         fb = f(b)
         skip = noise_floor > 0.0 and abs(fa) < noise_floor and abs(fb) < noise_floor
         if not skip and (fa == 0.0 or (fa < 0.0) != (fb < 0.0)):
-            root = a if fa == 0.0 else _bisect(f, a, b, fa, fb)
+            root, residual = (a, 0.0) if fa == 0.0 else _bisect(f, a, b, fa, fb)
             if root <= hi and (keep is None or keep(root)):
                 roots.append(root)
-                residuals.append(abs(f(root)))
+                residuals.append(residual)
         a, fa = b, fb
     if count is not None and len(roots) < count:
         raise ScanExhausted(f"found {len(roots)} of {count} roots below {hi:.3f}")

@@ -1,10 +1,13 @@
 """Special functions: spherical Bessel, associated Legendre, Gauss-Legendre.
 
-All routines here are self-contained (numpy for containers only) so that
-the rest of the package does not depend on any external special-function
-implementation.  Accuracy targets are near machine precision for
-0 <= l <= 200 and |z| <= 100, for the eigenfields, root scans and checks
-(the eigenvalues use the real continued fraction in `kernel` instead).
+All routines here are self-contained, so that the rest of the package
+does not depend on any external special-function implementation.  The
+Bessel tower runs on Python complex numbers; numpy computes its seeds
+j_0, j_1 and the rescale and normalization of Miller's algorithm, and
+holds the Legendre and quadrature arrays.  Accuracy targets are near
+machine precision for 0 <= l <= 200 and |z| <= 100, for the eigenfields,
+root scans and checks (the eigenvalues use the real continued fraction
+in `kernel` instead).
 """
 
 from __future__ import annotations
@@ -33,18 +36,18 @@ _IM_MAX = 700.0
 
 
 def _j0_j1(z: complex) -> tuple[complex, complex]:
-    # j_0 = sin z / z, j_1 = sin z / z^2 - cos z / z, for z != 0
-    s = np.sin(z)
-    c = np.cos(z)
+    # j_0 = sin z / z, j_1 = sin z / z^2 - cos z / z, for z != 0, in numpy
+    # scalars: CPython's complex division rounds differently in the last bit.
+    s, c = np.sin(z), np.cos(z)
     return s / z, s / (z * z) - c / z
 
 
-def _series_all(l: int, z: complex) -> np.ndarray:
+def _series_all(l: int, z: complex) -> list[complex]:
     # Ascending series around z = 0, used only for |z| < 1e-2 where a
     # handful of terms reach machine precision.  The z^n / (2n+1)!!
     # prefactor is built as a running product so it never overflows on
     # its own for the orders supported here.
-    out = np.empty(l + 1, dtype=complex)
+    out = []
     q = -0.25 * z * z
     pref = 1.0 + 0.0j
     for n in range(l + 1):
@@ -57,59 +60,82 @@ def _series_all(l: int, z: complex) -> np.ndarray:
             total += term
             if abs(term) <= 1e-18 * abs(total):
                 break
-        out[n] = pref * total
+        out.append(pref * total)
     return out
 
 
-def _upward_all(l: int, z: complex) -> np.ndarray:
+def _upward_all(l: int, z: complex) -> list[complex]:
     # Stable on the real axis as long as l does not exceed |z|.
-    out = np.empty(l + 1, dtype=complex)
-    j0, j1 = _j0_j1(z)
-    out[0] = j0
-    if l >= 1:
-        out[1] = j1
+    prev, cur = map(complex, _j0_j1(z))
+    out = [prev, cur]
     for n in range(2, l + 1):
-        out[n] = (2 * n - 1) / z * out[n - 1] - out[n - 2]
-    return out
+        prev, cur = cur, (2 * n - 1) / z * cur - prev
+        out.append(cur)
+    return out[: l + 1]
 
 
-def _downward_all(l: int, z: complex) -> np.ndarray:
+def _downward_all(l: int, z: complex) -> list[complex]:
     # Miller's algorithm: run the recurrence downward from a start order
     # well above l with arbitrary seeds, then normalize against j_0 or
     # j_1 computed in closed form.  Off the real axis the downward
     # contraction is slower, so the start order grows with sqrt(|z|).
-    az = abs(z)
+    # The rescale and the normalization stay numpy array products: their
+    # last bits and signed zeros (an FMA where the CPU has one) differ from
+    # CPython's.
     start = l + 32
     if z.imag != 0.0:
-        start += int(math.sqrt(40.0 * az)) + 8
-    out = np.zeros(l + 1, dtype=complex)
+        start += int(math.sqrt(40.0 * abs(z))) + 8
+    down = []  # p_n for n = l, l - 1, .., 0
     p_next = 0.0 + 0.0j  # p_{n+1}
     p_cur = 1e-30 + 0.0j  # p_n
     for n in range(start, -1, -1):
-        p_prev = (2 * n + 3) / z * p_cur - p_next
-        p_next = p_cur
-        p_cur = p_prev
+        p_next, p_cur = p_cur, (2 * n + 3) / z * p_cur - p_next
         # p_cur now approximates c * j_n(z)
         if n <= l:
-            out[n] = p_cur
+            down.append(p_cur)
         if abs(p_cur.real) > 1e250 or abs(p_cur.imag) > 1e250:
             p_cur *= 1e-250
             p_next *= 1e-250
             if n <= l:
-                out[n:] *= 1e-250
+                down = (np.array(down) * 1e-250).tolist()
     # Normalize against whichever closed-form seed is larger, so a near
     # zero of j_0 or j_1 never poisons the scale.
     j0, j1 = _j0_j1(z)
-    if l >= 1 and abs(j1) > abs(j0) and out[1] != 0:
-        seed, ref = j1, out[1]
+    if l >= 1 and abs(j1) > abs(j0) and down[-2] != 0:
+        seed, ref = j1, down[-2]
     else:
         seed, ref = j0, p_cur
+    out = np.fromiter(reversed(down), complex, l + 1)
     if abs(seed) / sys.float_info.max < abs(ref):
-        return out * (seed / ref)
+        return (out * (seed / ref)).tolist()
     # Far up the imaginary axis (from |Im z| ~ 678 at l = 0) the seed
     # nears the top of double range while ref stays small, and the
     # scale seed / ref would overflow: divide by ref first.
-    return (out / ref) * seed
+    return ((out / ref) * seed).tolist()
+
+
+def _tower(l: int, z: complex) -> list[complex]:
+    # j_0(z) .. j_l(z) as Python complex, checked as sph_bessel_j_all says.
+    l = _integer(l, "order l", 0, _L_MAX, DomainError)
+    try:
+        z = complex(z)
+    except (TypeError, ValueError):
+        raise DomainError(f"argument must be a complex number, got {z!r}") from None
+    if not (math.isfinite(z.real) and math.isfinite(z.imag)):
+        raise DomainError(f"argument must be finite, got {z!r}")
+    if abs(z.imag) > _IM_MAX:
+        raise NotRepresentable(
+            f"|Im z| = {abs(z.imag):.3g} exceeds {_IM_MAX:g}; "
+            "j_l(z) not representable in double precision"
+        )
+    if z == 0:
+        return [1.0 + 0.0j] + [0.0j] * l
+    az = abs(z)
+    if az < 1e-2:
+        return _series_all(l, z)
+    if z.imag == 0.0 and l <= az:
+        return _upward_all(l, z)
+    return _downward_all(l, z)
 
 
 def sph_bessel_j_all(l: int, z: complex) -> np.ndarray:
@@ -136,43 +162,21 @@ def sph_bessel_j_all(l: int, z: complex) -> np.ndarray:
         (also an OverflowError) For every |Im z| > 700, where sin z and
         cos z near the top of double range.
     """
-    l = _integer(l, "order l", 0, _L_MAX, DomainError)
-    try:
-        z = complex(z)
-    except (TypeError, ValueError):
-        raise DomainError(f"argument must be a complex number, got {z!r}") from None
-    if not (math.isfinite(z.real) and math.isfinite(z.imag)):
-        raise DomainError(f"argument must be finite, got {z!r}")
-    if abs(z.imag) > _IM_MAX:
-        raise NotRepresentable(
-            f"|Im z| = {abs(z.imag):.3g} exceeds {_IM_MAX:g}; "
-            "j_l(z) not representable in double precision"
-        )
-    if z == 0:
-        out = np.zeros(l + 1, dtype=complex)
-        out[0] = 1.0
-        return out
-    az = abs(z)
-    if az < 1e-2:
-        return _series_all(l, z)
-    if z.imag == 0.0 and l <= az:
-        return _upward_all(l, z)
-    return _downward_all(l, z)
+    return np.array(_tower(l, z), dtype=complex)
 
 
-# The array tower: the scalar tower read at every entry of an array, so each
-# entry keeps its bits and raises its errors.  The product form and the
-# divergence suite's closed form read it over all of their points.
+# The array tower: the scalar tower read lane by lane, so each entry keeps its
+# bits and raises its errors.  The product form reads it over all its points.
 def _j_all_lanes(l: int, z) -> np.ndarray:
     # Shape (l + 1, *z.shape), C-contiguous.
     z = np.asarray(z, dtype=complex)
-    rows = np.array([sph_bessel_j_all(l, v) for v in z.ravel().tolist()], dtype=complex)
+    rows = np.array([_tower(l, v) for v in z.ravel().tolist()], dtype=complex)
     return np.ascontiguousarray(rows.T).reshape(l + 1, *z.shape)
 
 
 def sph_bessel_j(l: int, z: complex) -> complex:
     """Spherical Bessel function j_l(z) of the first kind."""
-    return complex(sph_bessel_j_all(l, z)[l])
+    return _tower(l, z)[l]
 
 
 def sph_bessel_j_deriv(l: int, z: complex) -> complex:
@@ -198,7 +202,7 @@ def sph_bessel_j_deriv(l: int, z: complex) -> complex:
     return slope
 
 
-def _j_deriv(tab: np.ndarray, m: int, z: complex) -> complex:
+def _j_deriv(tab: list[complex], m: int, z: complex) -> complex:
     # j_m'(z) from a tower of j_0(z) .. j_max(m, 1)(z), z != 0:
     # j_m' = j_{m-1} - (m+1)/z j_m, and j_0' = -j_1.
     return -tab[1] if m == 0 else tab[m - 1] - (m + 1) / z * tab[m]
@@ -206,8 +210,8 @@ def _j_deriv(tab: np.ndarray, m: int, z: complex) -> complex:
 
 def _j_pair(l: int, z: complex) -> tuple[complex, complex]:
     # (j_l(z), j_l'(z)) for z != 0 from one tower.
-    tab = sph_bessel_j_all(max(l, 1), z)
-    return complex(tab[l]), complex(_j_deriv(tab, l, z))
+    tab = _tower(max(l, 1), z)
+    return tab[l], _j_deriv(tab, l, z)
 
 
 # Cached because the radial algebra evaluates a profile and all its
@@ -217,10 +221,10 @@ def _j_pair(l: int, z: complex) -> tuple[complex, complex]:
 # digits, so the slope is NaN, which every caller's finiteness check refuses.
 @functools.lru_cache(maxsize=4096)
 def _j_and_deriv(l: int, z: complex) -> tuple[complex, complex]:
-    tab = sph_bessel_j_all(max(l, 1), z)
+    tab = _tower(max(l, 1), z)
     if abs(tab[l]) < sys.float_info.min:
-        return complex(tab[l]), complex(math.nan)
-    return complex(tab[l]), complex(_j_deriv(tab, l, z))
+        return tab[l], complex(math.nan)
+    return tab[l], _j_deriv(tab, l, z)
 
 
 # ----------------------------------------------------------------------
@@ -315,11 +319,6 @@ def assoc_legendre_tower(
                 - (n + m - 1) * over_sin[n - 2]
             ) / (n - m)
 
-    _check_legendre_finite(values, dtheta)
-    return values, dtheta, over_sin
-
-
-def _check_legendre_finite(values: np.ndarray, dtheta: np.ndarray) -> None:
     # Unnormalized P_l^m grows like (2m-1)!!, which leaves double range
     # for m beyond roughly 150; fail loudly instead of returning inf.
     if not (np.all(np.isfinite(values)) and np.all(np.isfinite(dtheta))):
@@ -327,6 +326,7 @@ def _check_legendre_finite(values: np.ndarray, dtheta: np.ndarray) -> None:
             "associated Legendre values overflowed double precision; "
             "the unnormalized convention cannot represent this (l, m)"
         )
+    return values, dtheta, over_sin
 
 
 # ----------------------------------------------------------------------

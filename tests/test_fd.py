@@ -69,3 +69,22 @@ def test_step_too_small_for_the_stencil_is_refused_by_value():
         vector_laplacian(lambda p: p * p, [0.1, 0.2, 0.3], 1e-200)
     with pytest.raises(DomainError, match="^step 1e-160 squared"):
         vector_laplacian(lambda p: p * p, [0.0, 0.0, 0.0], 1e-160)
+
+
+def test_step_below_the_roundoff_floor_is_refused():
+    # A step a few ulps wide passed the rounding check and read wrong:
+    # the divergence of p as 3.70 (it is 3) at h = 3e-17, and the
+    # Laplacian of p * p as [0, 0, -1.5e8] (it is [2, 2, 2]) at h = 1e-12.
+    point = [0.1, 0.2, 0.3]
+    with pytest.raises(DomainError, match="^step 3e-17 is below the divergence floor"):
+        divergence(lambda p: p, point, 3e-17)
+    with pytest.raises(DomainError, match="^step 1e-12 is below the Laplacian floor"):
+        vector_laplacian(lambda p: p * p, point, 1e-12)
+    # The floors are sqrt(eps) and eps^(1/3) times max(1, |p|_inf).
+    assert divergence(lambda p: p, point, 1.5e-8) == pytest.approx(3.0, rel=1e-8)
+    assert np.allclose(vector_laplacian(lambda p: p * p, point, 6.1e-6), 2.0, rtol=1e-5)
+    far = [0.0, 0.0, 100.0]
+    with pytest.raises(DomainError, match="divergence floor 1.49e-06"):
+        divergence(lambda p: p, far, 1e-6)
+    with pytest.raises(DomainError, match="Laplacian floor 0.000606"):
+        vector_laplacian(lambda p: p * p, far, 1e-4)

@@ -334,3 +334,52 @@ def test_array_tower_raises_the_scalar_error_for_a_bad_lane(bad):
         sph_bessel_j_all(4, bad)
     with pytest.raises(type(scalar.value)):
         specfun._j_all_lanes(4, np.array([[1.5, bad], [2.0j, 0.3]]))
+
+
+def _probe_points(rng, count):
+    # Seeded (l, z): real, imaginary and complex z, tiny |z| (subnormal
+    # included) and |Im z| near 700, at orders 0..200.
+    points = []
+    for i in range(count):
+        l = int(rng.integers(0, 201))
+        kind = i % 6
+        if kind == 0:
+            z = complex(rng.uniform(-300.0, 300.0))
+        elif kind == 1:
+            z = 1j * rng.uniform(-700.0, 700.0)
+        elif kind == 2:
+            z = complex(rng.uniform(-80.0, 80.0), rng.uniform(-80.0, 80.0))
+        elif kind == 3:
+            z = 10.0 ** rng.uniform(-320.0, -2.0) * np.exp(2j * math.pi * rng.uniform())
+        elif kind == 4:
+            z = complex(rng.uniform(-5.0, 5.0), rng.choice([-1.0, 1.0]) * rng.uniform(650.0, 700.0))
+        else:
+            z = complex(l + rng.uniform(-3.0, 3.0))
+        points.append((l, complex(z)))
+    return points
+
+
+def test_list_tower_and_array_tower_agree_byte_for_byte():
+    # The package reads the tower as a list of Python complex; the public
+    # array holds the same bytes, and so does every scalar entry point.
+    as_bytes = lambda v: np.array([v], dtype=complex).tobytes()
+    for l, z in _probe_points(np.random.default_rng(2026), 2000):
+        want = sph_bessel_j_all(l, z)[l : l + 1].tobytes()
+        scalar = sph_bessel_j(l, z)
+        assert type(scalar) is complex and as_bytes(scalar) == want, (l, z)
+        if z != 0:
+            # The pair reads a tower of order max(l, 1): at l = 0 its j_0 is
+            # normalized against j_1 and may differ from j_0 alone in the
+            # last bit.
+            from_pair_tower = sph_bessel_j_all(max(l, 1), z)[l : l + 1].tobytes()
+            for pair in (specfun._j_pair(l, z), specfun._j_and_deriv(l, z)):
+                assert all(type(v) is complex for v in pair), (l, z)
+                assert as_bytes(pair[0]) == from_pair_tower, (l, z)
+        tower = specfun._tower(l, z)
+        assert all(type(v) is complex for v in tower), (l, z)
+        assert np.array(tower, dtype=complex).tobytes() == sph_bessel_j_all(l, z).tobytes(), (l, z)
+        try:
+            slope = sph_bessel_j_deriv(l, z)
+        except NotRepresentable:
+            continue
+        assert type(slope) is complex, (l, z)
