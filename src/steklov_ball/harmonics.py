@@ -29,7 +29,7 @@ import numpy as np
 
 from . import fd
 from .errors import _L_MAX, DomainError, InvalidMode, StepTooLarge, _choice, _integer, _positive, _real
-from .specfun import assoc_legendre_tower, gauss_legendre
+from .specfun import _legendre, assoc_legendre_tower, gauss_legendre
 
 __all__ = [
     "ModeIndex",
@@ -223,8 +223,7 @@ def _angular(n: ModeIndex, rows, phi):
 
 
 def _angular_derivatives(n: ModeIndex, p: SurfacePoint) -> tuple[float, float, float]:
-    tower = assoc_legendre_tower(n.m, n.l, math.cos(p.theta))
-    return _angular(n, [t[n.l] for t in tower], p.phi)
+    return _angular(n, [t[n.l] for t in _legendre(n.m, n.l, math.cos(p.theta))], p.phi)
 
 
 def _validate_tau(tau: int, n: ModeIndex) -> int:

@@ -2,12 +2,14 @@
 
 All routines here are self-contained, so that the rest of the package
 does not depend on any external special-function implementation.  The
-Bessel tower runs on Python complex numbers; numpy computes its seeds
-j_0, j_1 and the rescale and normalization of Miller's algorithm, and
-holds the Legendre and quadrature arrays.  Accuracy targets are near
-machine precision for 0 <= l <= 200 and |z| <= 100, for the eigenfields,
-root scans and checks (the eigenvalues use the real continued fraction
-in `kernel` instead).
+Bessel tower runs on Python complex numbers and the Legendre tower on
+Python floats, one point each, and array forms read them lane by lane;
+numpy computes the Bessel seeds j_0, j_1 and Miller's rescale and
+normalization.  Accuracy targets are near machine precision for 0 <= l <=
+200 and |z| <= 100, for the eigenfields, root scans and checks (the
+eigenvalues use the real continued fraction in `kernel` instead).  Off
+both axes a seeded test holds j_l(z) to 1e-10 of 40-digit mpmath for |Re
+z| in [1, 600] (worst seen 5e-13), and |Re z| > 1e4 is refused.
 """
 
 from __future__ import annotations
@@ -77,14 +79,16 @@ def _upward_all(l: int, z: complex) -> list[complex]:
 def _downward_all(l: int, z: complex) -> list[complex]:
     # Miller's algorithm: run the recurrence downward from a start order
     # well above l with arbitrary seeds, then normalize against j_0 or
-    # j_1 computed in closed form.  Off the real axis the downward
-    # contraction is slower, so the start order grows with sqrt(|z|).
+    # j_1 computed in closed form.  Off the real axis the start order adds
+    # |Re z| (the turning point) and sqrt(40 |z|) (a slower contraction).
     # The rescale and the normalization stay numpy array products: their
     # last bits and signed zeros (an FMA where the CPU has one) differ from
     # CPython's.
     start = l + 32
     if z.imag != 0.0:
-        start += int(math.sqrt(40.0 * abs(z))) + 8
+        if abs(z.real) > 1e4:  # where the tower would take over 5 ms
+            raise DomainError(f"off the real and imaginary axes |Re z| must be at most 1e4, got {z!r}")
+        start += int(math.sqrt(40.0 * abs(z))) + 8 + math.ceil(abs(z.real))
     down = []  # p_n for n = l, l - 1, .., 0
     p_next = 0.0 + 0.0j  # p_{n+1}
     p_cur = 1e-30 + 0.0j  # p_n
@@ -146,8 +150,8 @@ def sph_bessel_j_all(l: int, z: complex) -> np.ndarray:
     l : int
         Highest order, 0 <= l <= 200.
     z : complex
-        Argument.  Real and purely imaginary arguments are the common
-        cases; any complex argument with |Im z| <= 700 is accepted.
+        Argument: real, purely imaginary, or off both axes with |Re z| <=
+        1e4 (slower there); |Im z| <= 700 in every case.
 
     Returns
     -------
@@ -157,7 +161,7 @@ def sph_bessel_j_all(l: int, z: complex) -> np.ndarray:
     Raises
     ------
     DomainError
-        If the order is out of range or z is not a finite number.
+        If the order or z is out of range, or z is not a finite number.
     NotRepresentable
         (also an OverflowError) For every |Im z| > 700, where sin z and
         cos z near the top of double range.
@@ -221,10 +225,8 @@ def _j_pair(l: int, z: complex) -> tuple[complex, complex]:
 # digits, so the slope is NaN, which every caller's finiteness check refuses.
 @functools.lru_cache(maxsize=4096)
 def _j_and_deriv(l: int, z: complex) -> tuple[complex, complex]:
-    tab = _tower(max(l, 1), z)
-    if abs(tab[l]) < sys.float_info.min:
-        return tab[l], complex(math.nan)
-    return tab[l], _j_deriv(tab, l, z)
+    j, slope = _j_pair(l, z)
+    return (j, complex(math.nan)) if abs(j) < sys.float_info.min else (j, slope)
 
 
 # ----------------------------------------------------------------------
@@ -232,15 +234,43 @@ def _j_and_deriv(l: int, z: complex) -> tuple[complex, complex]:
 # ----------------------------------------------------------------------
 
 
-def _pow(s: np.ndarray, m: int) -> np.ndarray:
-    # Elementwise s**m through float's own power, as the scalar tower
-    # always computed it; numpy's vectorized power can differ by an ulp.
-    return np.array([v**m for v in s.ravel().tolist()]).reshape(s.shape)
+def _legendre(m: int, l_max: int, x: float) -> tuple[list[float], list[float], list[float]]:
+    # P_l^m(x), d/dtheta P_l^m(cos theta) and P_l^m(x) / sin(theta), l = 0 .. l_max,
+    # at one x in [-1, 1] as Python floats; the arguments are checked by the caller.
+    s = math.sqrt(max(0.0, 1.0 - x * x))  # sin(theta)
+    values, dtheta, over_sin = ([0.0] * (l_max + 1) for _ in range(3))
+    # Seeds at degree m: P_m^m = (2m-1)!! sin^m(theta).
+    dfact = 1.0
+    for i in range(1, 2 * m, 2):
+        dfact *= i
+    values[m] = dfact * s**m
+    # d/dtheta sin^m = m sin^{m-1} cos; safe for m = 0 (slope is 0).
+    if m >= 1:
+        sin_pow_m1 = s ** (m - 1)
+        dtheta[m] = dfact * m * sin_pow_m1 * x
+        over_sin[m] = dfact * sin_pow_m1
+    if l_max > m:
+        # Degree m+1 from the two-term start of the ascending recurrence.
+        values[m + 1] = (2 * m + 1) * x * values[m]
+        dtheta[m + 1] = (2 * m + 1) * (x * dtheta[m] - s * values[m])
+        if m >= 1:
+            over_sin[m + 1] = (2 * m + 1) * x * over_sin[m]
+    for n in range(m + 2, l_max + 1):
+        values[n] = ((2 * n - 1) * x * values[n - 1] - (n + m - 1) * values[n - 2]) / (n - m)
+        dtheta[n] = ((2 * n - 1) * (x * dtheta[n - 1] - s * values[n - 1]) - (n + m - 1) * dtheta[n - 2]) / (n - m)
+        if m >= 1:
+            over_sin[n] = ((2 * n - 1) * x * over_sin[n - 1] - (n + m - 1) * over_sin[n - 2]) / (n - m)
+
+    # Unnormalized P_l^m grows like (2m-1)!!, which leaves double range for m
+    # beyond roughly 150, where floats turn inf quietly; fail loudly instead.
+    if not all(map(math.isfinite, values + dtheta)):
+        raise NotRepresentable(
+            "associated Legendre values overflowed double precision; "
+            "the unnormalized convention cannot represent this (l, m)"
+        )
+    return values, dtheta, over_sin
 
 
-# Orders above about 150 overflow inside the recurrence; the finiteness
-# check at its end raises NotRepresentable, so numpy's warnings stay quiet.
-@np.errstate(over="ignore", invalid="ignore")
 def assoc_legendre_tower(
     m: int, l_max: int, x
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -256,7 +286,7 @@ def assoc_legendre_tower(
     l_max : int
         Highest degree, l_max <= 200.
     x : float or array of float
-        Point(s) in [-1, 1]; the recurrence runs over all of them at once.
+        Point(s) in [-1, 1]; each entry equals a scalar call bit for bit.
 
     Returns
     -------
@@ -283,50 +313,9 @@ def assoc_legendre_tower(
     if not np.all(inside):
         bad = float(x[~inside][0])
         raise DomainError(f"argument must lie in [-1, 1], got {bad!r}")
-    s = np.sqrt(np.maximum(0.0, 1.0 - x * x))  # sin(theta)
-
-    values = np.zeros((l_max + 1, *x.shape))
-    dtheta = np.zeros_like(values)
-    over_sin = np.zeros_like(values)
-
-    # Seeds at degree m: P_m^m = (2m-1)!! sin^m(theta).
-    dfact = 1.0
-    for i in range(1, 2 * m, 2):
-        dfact *= i
-    values[m] = dfact * _pow(s, m)
-    # d/dtheta sin^m = m sin^{m-1} cos; safe for m = 0 (slope is 0).
-    if m >= 1:
-        sin_pow_m1 = _pow(s, m - 1)
-        dtheta[m] = dfact * m * sin_pow_m1 * x
-        over_sin[m] = dfact * sin_pow_m1
-    if l_max > m:
-        # Degree m+1 from the two-term start of the ascending recurrence.
-        values[m + 1] = (2 * m + 1) * x * values[m]
-        dtheta[m + 1] = (2 * m + 1) * (x * dtheta[m] - s * values[m])
-        if m >= 1:
-            over_sin[m + 1] = (2 * m + 1) * x * over_sin[m]
-    for n in range(m + 2, l_max + 1):
-        values[n] = (
-            (2 * n - 1) * x * values[n - 1] - (n + m - 1) * values[n - 2]
-        ) / (n - m)
-        dtheta[n] = (
-            (2 * n - 1) * (x * dtheta[n - 1] - s * values[n - 1])
-            - (n + m - 1) * dtheta[n - 2]
-        ) / (n - m)
-        if m >= 1:
-            over_sin[n] = (
-                (2 * n - 1) * x * over_sin[n - 1]
-                - (n + m - 1) * over_sin[n - 2]
-            ) / (n - m)
-
-    # Unnormalized P_l^m grows like (2m-1)!!, which leaves double range
-    # for m beyond roughly 150; fail loudly instead of returning inf.
-    if not (np.all(np.isfinite(values)) and np.all(np.isfinite(dtheta))):
-        raise NotRepresentable(
-            "associated Legendre values overflowed double precision; "
-            "the unnormalized convention cannot represent this (l, m)"
-        )
-    return values, dtheta, over_sin
+    lanes = np.array([_legendre(m, l_max, v) for v in x.ravel().tolist()], dtype=float)
+    towers = np.ascontiguousarray(lanes.reshape(x.size, 3, l_max + 1).transpose(1, 2, 0))
+    return tuple(towers.reshape(3, l_max + 1, *x.shape))
 
 
 # ----------------------------------------------------------------------

@@ -59,7 +59,7 @@ from .harmonics import (
 )
 from .kernel import lambda1, lambda2
 from .radial import RadialFunction, RadialKind, RadialPair, bessel_operator, radial_profiles
-from .specfun import QuadratureRule, _j_all_lanes, gauss_legendre
+from .specfun import QuadratureRule, _j_all_lanes, _j_and_deriv, gauss_legendre
 
 __all__ = [
     "lambda1_theta1_alt",
@@ -338,9 +338,14 @@ def _weak_identity_terms(mode: SteklovMode, rule: QuadratureRule, at_one: np.nda
     # and |div E|^2 to Phi^2 (div E = Phi Y_n).
     l = mode.n.l
     root = math.sqrt(l * (l + 1))
+    pair = mode.radial
     radii = 0.5 * (rule.nodes + 1.0)
     rweights = 0.5 * rule.weights * radii**2
-    pair = mode.radial
+    wavenumbers = {c for f in (pair.e1, pair.e2, pair.e3) for (c, _, _), _ in f.terms}
+    normal = [any(abs(_j_and_deriv(l, c * r)[0]) >= sys.float_info.min for c in wavenumbers) for r in radii.tolist()]
+    if True not in normal:
+        raise NotRepresentable(f"weak identity: j_{l}(c r) is 0 or subnormal at every radial node; nothing can be checked")
+    radii, rweights = radii[normal.index(True) :], rweights[normal.index(True) :]
     slots = {"e1": pair.e1, "e2": pair.e2, "e3": pair.e3}
     slots.update({"e1'": pair.e1.deriv(), "e2'": pair.e2.deriv(), "div": pair.phi})
     e1, e2, e3, de1, de2, phi = (_real_samples(f(radii), what) for what, f in slots.items())
@@ -368,11 +373,16 @@ def verify_weak_identity(mode: SteklovMode) -> float:
 
     with the surface integral of each |A_tau|^2 taken as 1 by
     orthonormality and the radial one by a Gauss rule of order 2l + 12
-    with r^2 weight, normalized by the largest of the four terms.  Raises
+    with r^2 weight, normalized by the largest of the four terms.  Leading
+    nodes where j_l(c r) is 0 or subnormal for every wavenumber c of the
+    mode contribute 0: each integrand term there is a product of two such
+    values, or of j_l'(c r) (below the turning point at most (l + 1)/|c r|
+    times j_l), times coefficients that the kept nodes share, so it lies
+    below double range beside the largest term, which must be normal.  Raises
     QuadratureTooCoarse when raising the radial order by 4 moves the
     defect by more than the weak-identity suite's tolerance, 1e-8 of that
-    scale, and NotRepresentable when the largest term of either order is
-    0, subnormal or not finite.
+    scale, and NotRepresentable when no node is kept or the largest term
+    of either order is 0, subnormal or not finite.
     """
     radial_order = 2 * mode.n.l + 12
     pair = mode.radial

@@ -2,12 +2,13 @@
 
 Reference values were produced with mpmath at 40 significant digits
 (j_l(z) = sqrt(pi/2z) J_{l+1/2}(z), derivative by the standard
-recurrence) and are frozen here so the suite needs no multiprecision
-dependency at run time.
+recurrence) and are frozen here; only the seeded test of complex
+arguments off both axes evaluates mpmath at run time.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 import warnings
 
@@ -24,7 +25,7 @@ from steklov_ball import (
     sph_bessel_j_all,
     sph_bessel_j_deriv,
 )
-from steklov_ball import specfun
+from steklov_ball import harmonics, specfun
 from steklov_ball.specfun import assoc_legendre_tower
 
 # (l, z, j_l(z), j_l'(z)) -- mpmath, 40 digits, rounded to 20
@@ -383,3 +384,117 @@ def test_list_tower_and_array_tower_agree_byte_for_byte():
         except NotRepresentable:
             continue
         assert type(slope) is complex, (l, z)
+
+
+# The numpy array recurrence that assoc_legendre_tower ran before the one
+# scalar recurrence on Python floats replaced it, frozen as the reference:
+# the two must agree byte for byte, signed zeros included.
+def _pow(s: np.ndarray, m: int) -> np.ndarray:
+    return np.array([v**m for v in s.ravel().tolist()]).reshape(s.shape)
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def _numpy_legendre_tower(m: int, l_max: int, x):
+    x = np.asarray(x, dtype=float)
+    s = np.sqrt(np.maximum(0.0, 1.0 - x * x))
+    values = np.zeros((l_max + 1, *x.shape))
+    dtheta = np.zeros_like(values)
+    over_sin = np.zeros_like(values)
+    dfact = 1.0
+    for i in range(1, 2 * m, 2):
+        dfact *= i
+    values[m] = dfact * _pow(s, m)
+    if m >= 1:
+        sin_pow_m1 = _pow(s, m - 1)
+        dtheta[m] = dfact * m * sin_pow_m1 * x
+        over_sin[m] = dfact * sin_pow_m1
+    if l_max > m:
+        values[m + 1] = (2 * m + 1) * x * values[m]
+        dtheta[m + 1] = (2 * m + 1) * (x * dtheta[m] - s * values[m])
+        if m >= 1:
+            over_sin[m + 1] = (2 * m + 1) * x * over_sin[m]
+    for n in range(m + 2, l_max + 1):
+        values[n] = ((2 * n - 1) * x * values[n - 1] - (n + m - 1) * values[n - 2]) / (n - m)
+        dtheta[n] = ((2 * n - 1) * (x * dtheta[n - 1] - s * values[n - 1]) - (n + m - 1) * dtheta[n - 2]) / (n - m)
+        if m >= 1:
+            over_sin[n] = ((2 * n - 1) * x * over_sin[n - 1] - (n + m - 1) * over_sin[n - 2]) / (n - m)
+    if not (np.all(np.isfinite(values)) and np.all(np.isfinite(dtheta))):
+        raise NotRepresentable("overflow")
+    return values, dtheta, over_sin
+
+
+_LEGENDRE_EDGES = [1.0, -1.0, 0.0, -0.0, 1.0 - 2.0**-53, -(1.0 - 2.0**-53), 1e-300, -1e-300]
+
+
+def _legendre_or_refusal(tower, m, l_max, x):
+    try:
+        return [t.tobytes() for t in tower(m, l_max, x)] + [tower(m, l_max, x)[0].shape]
+    except NotRepresentable:
+        return "NotRepresentable"
+
+
+def test_legendre_tower_equals_the_frozen_numpy_recurrence_byte_for_byte():
+    rng = np.random.default_rng(29)
+    refused = 0
+    for i in range(60):
+        l_max = int(rng.integers(0, 201))
+        # Every fourth order near the top of double range, where degrees overflow.
+        m = int(rng.integers(0, min(l_max, 150) + 1)) if i % 4 else min(l_max, int(rng.integers(130, 151)))
+        x = np.concatenate([rng.uniform(-1.0, 1.0, 4), _LEGENDRE_EDGES])
+        want = _legendre_or_refusal(_numpy_legendre_tower, m, l_max, x.reshape(3, 4))
+        assert _legendre_or_refusal(assoc_legendre_tower, m, l_max, x.reshape(3, 4)) == want, (m, l_max)
+        refused += want == "NotRepresentable"
+        for v in x.tolist():
+            want = _legendre_or_refusal(_numpy_legendre_tower, m, l_max, v)
+            assert _legendre_or_refusal(assoc_legendre_tower, m, l_max, v) == want, (m, l_max, v)
+            if want != "NotRepresentable":
+                core = specfun._legendre(m, l_max, v)
+                assert [np.array(t).tobytes() for t in core] == want[:3], (m, l_max, v)
+    assert refused, "no overflowing order was drawn"
+
+
+def test_harmonics_keep_their_bytes_on_the_scalar_legendre_tower(monkeypatch):
+    modes = harmonics.enumerate_modes(4)[1:]
+    points = [harmonics.SurfacePoint(0.7, 1.1), harmonics.SurfacePoint(1.9, 4.0), harmonics.SurfacePoint(2.6, 0.3)]
+
+    def read():
+        vectors = [harmonics.vector_A(tau, n, p) for n in modes for p in points for tau in (1, 2, 3)]
+        scalars = [harmonics.scalar_Y(n, p) for n in modes for p in points]
+        return np.array([(v.er, v.etheta, v.ephi) for v in vectors]).tobytes(), np.array(scalars).tobytes(), harmonics.gram_matrix(6)[1].tobytes()
+
+    got = read()
+    monkeypatch.setattr(harmonics, "assoc_legendre_tower", _numpy_legendre_tower)
+    monkeypatch.setattr(harmonics, "_legendre", _numpy_legendre_tower)
+    assert got == read()
+
+
+# (l, z) off both axes where Miller's start order once sat below the turning
+# point near |Re z|: j_3 read 1.3e-3 off, j_2 147 % and j_1 4.8 %.
+OFF_AXIS_PROBES = [(3, 99.52375998249 - 1.1121563518889444j), (2, 223.7884940697527 - 0.10825160084084473j), (1, 400 + 20j)]
+
+
+def test_bessel_tower_off_both_axes_matches_mpmath():
+    import mpmath
+
+    rng = np.random.default_rng(1198)
+    probes = list(OFF_AXIS_PROBES)
+    for _ in range(150):
+        sign = rng.choice([-1.0, 1.0], 2)
+        re, im = sign * 10.0 ** rng.uniform([0.0, -3.0], [math.log10(600.0), math.log10(700.0)])
+        probes.append((int(rng.integers(0, 201)), complex(re, im)))
+    with mpmath.workdps(40):
+        for l, z in probes:
+            want = mpmath.sqrt(mpmath.pi / (2 * mpmath.mpc(z))) * mpmath.besselj(l + 0.5, z)
+            if not 2.3e-308 < abs(want) < 1e300:
+                continue
+            got = sph_bessel_j(l, z)
+            assert abs(mpmath.mpc(got) - want) <= 1e-10 * abs(want), (l, z)
+
+
+def test_bessel_tower_refuses_far_off_both_axes():
+    # Miller's start order there grows with |Re z|: refused beyond 1e4.
+    for z in (10000.5 + 1e-3j, -2.5e4 + 3j, 1e300 + 1j):
+        with pytest.raises(DomainError, match="Re z"):
+            sph_bessel_j(5, z)
+    assert cmath.isfinite(sph_bessel_j(5, 1e4 + 1e-3j))
+    assert cmath.isfinite(sph_bessel_j(5, 1e300))

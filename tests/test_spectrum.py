@@ -469,20 +469,25 @@ def test_eigenfields_are_real_for_negative_k2():
 def test_eigenfield_checks_refuse_an_underflowed_mode():
     # Family 2 at l = 200, k^2 = 0.3: e1 is exactly 0 at r = 1 and at
     # r = 0.5, so each check would compare 0 with 0 and pass vacuously.
-    # Family 1 at l = 140, k^2 = 1: every weak-form term is 0.  Each is
-    # refused where a j_l' term reads that underflowed j_l.  At l = 150
-    # j_l(1) itself is subnormal, so the mode is refused when it is built.
+    # Family 1 at l = 140, k^2 = 1: every weak-form term is 0.  Each
+    # pointwise check is refused where a j_l' term reads that underflowed
+    # j_l; the weak identity drops the nodes where every j_l(c r) is 0 or
+    # subnormal, and refuses when none is left or its terms all underflow.
+    # At l = 150 j_l(1) itself is subnormal, so the mode is refused when it
+    # is built.
     mode = steklov_mode(2, ModeIndex("even", 0, 200), 0.3)
     checks = (
         lambda: verify_steklov_bc(mode, SURFACE_POINTS[0]),
-        lambda: verify_weak_identity(mode),
         lambda: residual_system(mode.radial, 1.0),
         lambda: residual_system(mode.radial, 0.5),
-        lambda: verify_weak_identity(steklov_mode(1, ModeIndex("even", 0, 140), 1.0)),
     )
     for check in checks:
-        with pytest.raises(NotRepresentable, match="^a radial term of degree (200|140) leaves double range"):
+        with pytest.raises(NotRepresentable, match="^a radial term of degree 200 leaves double range"):
             check()
+    with pytest.raises(NotRepresentable, match="^weak identity: j_200.* at every radial node"):
+        verify_weak_identity(mode)
+    with pytest.raises(NotRepresentable, match="^weak identity: every term underflows to 0"):
+        verify_weak_identity(steklov_mode(1, ModeIndex("even", 0, 140), 1.0))
     with pytest.raises(NotRepresentable, match="not representable"):
         steklov_mode(1, ModeIndex("even", 0, 150), 1.0)
 
