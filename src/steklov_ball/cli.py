@@ -153,8 +153,12 @@ _OPTIONS: dict[str, dict[str, dict]] = {
         **_COMMON,
     },
     "verify": {
-        "--suite": dict(action="append", help="suite name (repeatable; default: all)"),
-        "--l-max": dict(type=_parse_int, help="cap harmonic degree in the suites (1..200)"),
+        "--suite": dict(action="append", help="suite name (repeatable, each runs once; default: all)"),
+        "--l-max": dict(
+            type=_parse_int,
+            help="cap the degrees of the form-equivalence, eigen-residuals, weak-identity, resonances, "
+            "zero-spectrum and Gram checks (1..200); the other checks keep fixed degrees",
+        ),
         "--tol": dict(type=_parse_real, default=1.0, help="tolerance scale factor (> 0)"),
         **_COMMON,
         "--format": dict(_COMMON["--format"], default="json"),

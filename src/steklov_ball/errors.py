@@ -100,6 +100,14 @@ def _real(value) -> float:
         return math.nan
 
 
+def _complex(value, name: str) -> complex:
+    """`value` as a complex; anything complex() refuses raises DomainError."""
+    try:
+        return complex(value)
+    except (TypeError, ValueError):
+        raise DomainError(f"{name} must be a complex number, got {value!r}") from None
+
+
 def _positive(value, name: str, error: type = DomainError) -> float:
     """`value` as a float in (0, inf); complex numbers and anything that
     float() refuses raise `error`."""

@@ -27,7 +27,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import DirichletResonance, DomainError, NotRepresentable, _positive, _validate_eig_args
+from .errors import _L_MAX, DirichletResonance, DomainError, NotRepresentable, _complex, _integer, _positive, _validate_eig_args
 from .specfun import _j_and_deriv
 
 __all__ = [
@@ -68,6 +68,9 @@ class RadialFunction:
     l: int
     terms: tuple[tuple[tuple[complex, int, int], complex], ...]
 
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "l", _integer(self.l, "degree l", 0, _L_MAX, DomainError))
+
     @classmethod
     def zero(cls, l: int) -> "RadialFunction":
         return cls(l=l, terms=())
@@ -75,9 +78,9 @@ class RadialFunction:
     @classmethod
     def build(cls, l: int, c: complex, alpha: dict | None = None, beta: dict | None = None) -> "RadialFunction":
         """sum_p alpha[p] r^p j_l(c r) + sum_p beta[p] r^p j_l'(c r)."""
+        c = _complex(c, "wavenumber")
         if c == 0:
             raise DomainError("wavenumber of a radial term must be nonzero")
-        c = complex(c)
         pairs = [((c, 0, int(p)), coef) for p, coef in (alpha or {}).items()]
         pairs += [((c, 1, int(p)), coef) for p, coef in (beta or {}).items()]
         return _collect(l, pairs)
@@ -156,12 +159,13 @@ def _collect(l: int, pairs) -> RadialFunction:
 
 def bessel_operator(f: RadialFunction, k2: complex) -> RadialFunction:
     """Apply r^2 f'' + 2 r f' + (k^2 r^2 - l(l+1)) f exactly."""
+    k2 = _complex(k2, "k2")
     big_l = f.l * (f.l + 1)
     df = f.deriv()
     return (
         df.deriv().times_power(1.0, 2)
         + df.times_power(2.0, 1)
-        + f.times_power(complex(k2), 2)
+        + f.times_power(k2, 2)
         + f.scaled(-float(big_l))
     )
 

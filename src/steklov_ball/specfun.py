@@ -3,13 +3,15 @@
 All routines here are self-contained, so that the rest of the package
 does not depend on any external special-function implementation.  The
 Bessel tower runs on Python complex numbers and the Legendre tower on
-Python floats, one point each, and array forms read them lane by lane;
-numpy computes the Bessel seeds j_0, j_1 and Miller's rescale and
-normalization.  Accuracy targets are near machine precision for 0 <= l <=
-200 and |z| <= 100, for the eigenfields, root scans and checks (the
-eigenvalues use the real continued fraction in `kernel` instead).  Off
-both axes a seeded test holds j_l(z) to 1e-10 of 40-digit mpmath for |Re
-z| in [1, 600] (worst seen 5e-13), and |Re z| > 1e4 is refused.
+Python floats, one point each; only `sph_bessel_j_all` (one tower as an
+array) and `assoc_legendre_tower` (every entry of an array of points)
+read them into numpy arrays.  numpy computes the Bessel seeds j_0, j_1
+and Miller's rescale and normalization.  Accuracy targets are near
+machine precision for 0 <= l <= 200 and |z| <= 100, for the eigenfields,
+root scans and checks (the eigenvalues use the real continued fraction
+in `kernel` instead).  Off both axes a seeded test holds j_l(z) to 1e-10
+of 40-digit mpmath for |Re z| in [1, 600] (worst seen 5e-13), and |Re z|
+> 1e4 is refused.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import _L_MAX, DomainError, NotRepresentable, _integer
+from .errors import _L_MAX, DomainError, NotRepresentable, _complex, _integer
 
 __all__ = [
     "sph_bessel_j_all",
@@ -169,15 +171,6 @@ def sph_bessel_j_all(l: int, z: complex) -> np.ndarray:
     return np.array(_tower(l, z), dtype=complex)
 
 
-# The array tower: the scalar tower read lane by lane, so each entry keeps its
-# bits and raises its errors.  The product form reads it over all its points.
-def _j_all_lanes(l: int, z) -> np.ndarray:
-    # Shape (l + 1, *z.shape), C-contiguous.
-    z = np.asarray(z, dtype=complex)
-    rows = np.array([_tower(l, v) for v in z.ravel().tolist()], dtype=complex)
-    return np.ascontiguousarray(rows.T).reshape(l + 1, *z.shape)
-
-
 def sph_bessel_j(l: int, z: complex) -> complex:
     """Spherical Bessel function j_l(z) of the first kind."""
     return _tower(l, z)[l]
@@ -193,10 +186,7 @@ def sph_bessel_j_deriv(l: int, z: complex) -> complex:
     j_l'(z) itself underflows too, such as j_200'(1).
     """
     l = _integer(l, "order l", 0, _L_MAX, DomainError)
-    try:
-        z = complex(z)
-    except (TypeError, ValueError):
-        raise DomainError(f"argument must be a complex number, got {z!r}") from None
+    z = _complex(z, "argument")
     if z == 0:
         # j_l ~ z^l / (2l+1)!!, so only l = 1 has a nonzero slope at 0.
         return complex(1.0 / 3.0) if l == 1 else complex(0.0)

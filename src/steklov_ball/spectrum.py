@@ -59,7 +59,7 @@ from .harmonics import (
 )
 from .kernel import lambda1, lambda2
 from .radial import RadialFunction, RadialKind, RadialPair, bessel_operator, radial_profiles
-from .specfun import QuadratureRule, _j_all_lanes, _j_and_deriv, gauss_legendre
+from .specfun import QuadratureRule, _j_and_deriv, _j_deriv, _tower, gauss_legendre
 
 __all__ = [
     "lambda1_theta1_alt",
@@ -90,39 +90,27 @@ def lambda1_theta1_alt(l: int, k2: float) -> float:
     NotRepresentable.
     """
     l, k2, _ = _validate_eig_args(_integer(l, "degree l", 1, _L_MAX - 1), k2)
-    values, resonant = _theta1_alt_rows(l, l, np.array([k2]))
-    if resonant[0, 0]:
+    k = cmath.sqrt(k2)
+    value, resonant = _theta1_alt(l, k2, k, _tower(l + 1, k))
+    if resonant:
         raise DirichletResonance(f"j_{l + 1}(k) j_{l - 1}(k) vanishes at k2 = {k2}")
-    return float(values[0, 0])
+    return value
 
 
-@np.errstate(over="ignore", invalid="ignore", divide="ignore")
-def _theta1_alt_rows(l_lo: int, l_hi: int, k2s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    # lambda1_theta1_alt at degrees l_lo..l_hi (rows) and every k2 of an
-    # array (columns), from one tower of order l_hi + 1: the values, and
-    # the cells where it raises DirichletResonance.  Its other errors are
-    # raised for the first such cell in row order.
-    k = np.sqrt(k2s.astype(complex))
-    j = _j_all_lanes(l_hi + 1, k)
-    dj = np.concatenate([-j[1:2], j[:-1] - np.arange(2, l_hi + 3)[:, None] / k * j[1:]])
-    ls = np.arange(l_lo, l_hi + 1)
-    size = np.abs(j[[ls - 1, ls, ls + 1]])
-    bad = np.argwhere(~np.all((sys.float_info.min <= size) & (size < math.inf), axis=0))
-    if bad.size:
-        l, k2 = l_lo + int(bad[0, 0]), float(k2s[bad[0, 1]])
+def _theta1_alt(l: int, k2: float, k: complex, tab: list[complex]) -> tuple[float, bool]:
+    # lambda1_theta1_alt at one degree from a tower of j_0(k) .. j_m(k),
+    # m > l: the value, and whether it raises DirichletResonance there.
+    if not all(sys.float_info.min <= abs(tab[m]) < math.inf for m in (l - 1, l, l + 1)):
         raise DomainError(
             f"j_{l - 1}, j_{l} or j_{l + 1} leaves the normal double range at k2 = {k2}; "
             "eigenvalue not representable"
         )
     # Per-factor Newton-step guards, as in the direct form: each factor
     # is near one of its zeros iff |j_m| is small against |k j_m'|.
-    resonant = np.any(np.abs(j[[ls + 1, ls - 1]]) < 1e-12 * np.abs(k * dj[[ls + 1, ls - 1]]), axis=0)
-    value = -k * (j[ls] / j[ls + 1]) * (dj[ls] / j[ls - 1])
-    nonreal = value[~resonant & (np.abs(value.imag) > 1e-10 * (1.0 + np.abs(value.real)))]
-    if nonreal.size:
-        raise NonRealEigenvalue(
-            f"lambda1_theta1_alt = {complex(nonreal[0])!r} has a non-negligible imaginary part"
-        )
+    resonant = any(abs(tab[m]) < 1e-12 * abs(k * _j_deriv(tab, m, k)) for m in (l + 1, l - 1))
+    value = -k * (tab[l] / tab[l + 1]) * (_j_deriv(tab, l, k) / tab[l - 1])
+    if not resonant and abs(value.imag) > 1e-10 * (1.0 + abs(value.real)):
+        raise NonRealEigenvalue(f"lambda1_theta1_alt = {value!r} has a non-negligible imaginary part")
     return value.real, resonant
 
 
@@ -277,21 +265,15 @@ def residual_fourth_order(l: int, k2: float, r: float, e3: RadialFunction) -> fl
 
 def divergence_field(mode: SteklovMode, p: BallPoint) -> float:
     """Pointwise divergence of the eigenfield, Phi(r) Y_n(xi): the modal
-    divergence coefficient times the scalar harmonic.  Phi is the zero
-    function for a toroidal pair, so family 2 returns 0; as in
-    `eigenfield`, a zero coefficient needs no harmonic.
+    divergence coefficient, asserted real against the terms it is built
+    from, times the scalar harmonic.  Phi is the zero function for a
+    toroidal pair, so family 2 returns 0; as in `eigenfield`, a zero
+    coefficient needs no harmonic.
     """
-    coef = float(_divergence_coef(mode, p.r))
-    return coef * scalar_Y(mode.n, p.direction) if coef else coef
-
-
-def _divergence_coef(mode: SteklovMode, r):
-    # Phi at a radius or an array of radii, asserted real against the
-    # terms it is built from.
-    pair = mode.radial
+    pair, r = mode.radial, p.r
     phi, de3, e3, e2 = (f(r) for f in (pair.phi, pair.e3.deriv(), pair.e3, pair.e2))
-    scale = np.maximum.reduce([np.abs(de3), np.abs(e3 / r), np.abs(e2 / r)])
-    return _field_real(phi, scale * 1e-3, "divergence")
+    coef = _field_real(phi, max(abs(de3), abs(e3 / r), abs(e2 / r)) * 1e-3, "divergence")
+    return coef * scalar_Y(mode.n, p.direction) if coef else coef
 
 
 # ----------------------------------------------------------------------

@@ -13,6 +13,7 @@ cheap enough to execute on every build.
 
 from __future__ import annotations
 
+import cmath
 import dataclasses
 import math
 import random
@@ -22,9 +23,9 @@ import numpy as np
 
 from . import classical, fd, harmonics, kernel, resonances, spectrum
 from .errors import _L_MAX, DirichletResonance, InvalidMode, _integer, _positive
-from .harmonics import BallPoint, ModeIndex, SurfacePoint
+from .harmonics import BallPoint, ModeIndex, SurfacePoint, scalar_Y
 from .radial import RadialKind, radial_profiles
-from .specfun import assoc_legendre_tower, sph_bessel_j, sph_bessel_j_all, sph_bessel_j_deriv
+from .specfun import _tower, sph_bessel_j, sph_bessel_j_all, sph_bessel_j_deriv
 
 __all__ = ["Check", "VerifyReport", "SUITE_NAMES", "run_suites", "sample_modes"]
 
@@ -118,17 +119,23 @@ def _suite_spot_values(ctx: _Context) -> list[Check]:
 
 def _suite_form_equivalence(ctx: _Context) -> list[Check]:
     tol = 1e-10 * ctx.tol_scale
+    l_hi = ctx.cap(10)
     k2s = np.linspace(-50.0, 50.0, 101)
     k2s = k2s[k2s != 0.0]
-    # One kernel grid and one tower: a kernel cell equals lambda1 bit for
-    # bit and ok is False exactly where lambda1 raises DirichletResonance;
-    # resonant marks the cells where lambda1_theta1_alt raises it.
-    values, ok = kernel.eigen_grid(1, 1, ctx.cap(10), k2s, 1.0)
-    alt, resonant = spectrum._theta1_alt_rows(1, ctx.cap(10), k2s)
-    use = ok & ~resonant & (values != 0.0)
-    a, b = values[use], alt[use]
-    worst = float(np.max(np.abs(a - b) / np.abs(a), initial=0.0))
-    tried = int(np.count_nonzero(use))
+    # One kernel grid, and one tower per k2 for the product form: a kernel
+    # cell equals lambda1 bit for bit and ok is False exactly where lambda1
+    # raises DirichletResonance; resonant marks the cells where
+    # lambda1_theta1_alt raises it.
+    values, ok = kernel.eigen_grid(1, 1, l_hi, k2s, 1.0)
+    worst, tried = 0.0, 0
+    for column, k2 in enumerate(k2s.tolist()):
+        k = cmath.sqrt(k2)
+        tab = _tower(l_hi + 1, k)
+        for l, a, a_ok in zip(range(1, l_hi + 1), values[:, column].tolist(), ok[:, column].tolist()):
+            alt, resonant = spectrum._theta1_alt(l, k2, k, tab)
+            if a_ok and not resonant and a != 0.0:
+                worst = max(worst, abs(a - alt) / abs(a))
+                tried += 1
     name = f"lambda1 vs alt over {tried} off-resonance points"
     return [_check("form-equivalence", name, worst, tol)]
 
@@ -227,20 +234,22 @@ def _suite_divergence(ctx: _Context) -> list[Check]:
     checks = []
     rng = random.Random(20240817)
     box = ((0.15, 0.95), (0.1, math.pi - 0.1), (0.0, 2.0 * math.pi - 1e-9))  # r, polar, azimuth
-    r, polar, azimuth = np.array([[rng.uniform(*side) for side in box] for _ in range(100)]).T
+    points = []
+    for _ in range(100):
+        r, polar, azimuth = (rng.uniform(*side) for side in box)
+        points.append(BallPoint(r, SurfacePoint(polar, azimuth)))
     n = ModeIndex("even", 1, 2)
-    y = harmonics._angular(n, [t[n.l] for t in assoc_legendre_tower(n.m, n.l, np.cos(polar))], azimuth)[0]
 
     mode2 = spectrum.steklov_mode(2, n, 5.0, 1.0)
-    worst2 = float(np.max(np.abs(spectrum._divergence_coef(mode2, r) * y)))
+    worst2 = max(abs(spectrum.divergence_field(mode2, p)) for p in points)
     checks.append(_check("divergence", "family 2 divergence-free, 100 points", worst2, 1e-11 * ctx.tol_scale))
 
     mode1 = spectrum.steklov_mode(1, n, 5.0, 2.0)
     q = math.sqrt(5.0 / 2.0)
-    closed_arr = -(5.0 / 2.0) * np.array([sph_bessel_j_all(2, v)[2].real for v in q * r]) * y
-    modal_arr = spectrum._divergence_coef(mode1, r) * y
-    mask = np.abs(closed_arr) >= 0.01 * np.max(np.abs(closed_arr))
-    rel = float(np.max(np.abs(modal_arr[mask] - closed_arr[mask]) / np.abs(closed_arr[mask])))
+    closed = [-(5.0 / 2.0) * sph_bessel_j_all(2, q * p.r)[2].real * scalar_Y(n, p.direction) for p in points]
+    modal = [spectrum.divergence_field(mode1, p) for p in points]
+    floor = 0.01 * max(map(abs, closed))
+    rel = max(abs(m - c) / abs(c) for m, c in zip(modal, closed) if abs(c) >= floor)
     checks.append(_check("divergence", "family 1 modal vs closed form", rel, 1e-10 * ctx.tol_scale))
 
     # Cartesian finite differences must converge to the modal divergence
@@ -390,7 +399,7 @@ def run_suites(
         unknown = [s for s in suites if s not in SUITES]
         if unknown:
             raise InvalidMode(f"unknown suites: {unknown}; available: {list(SUITE_NAMES)}")
-        names = list(suites)
+        names = list(dict.fromkeys(suites))
     if l_max is not None:
         l_max = _integer(l_max, "l_max", 1, _L_MAX)
     ctx = _Context(l_max=l_max, tol_scale=_positive(tol_scale, "tol_scale"))

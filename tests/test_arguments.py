@@ -18,11 +18,13 @@ from steklov_ball import (
     DomainError,
     InvalidMode,
     ModeIndex,
+    RadialFunction,
     RadialKind,
     BallPoint,
     SurfacePoint,
     Vec3,
     ball_steklov_spectrum,
+    bessel_operator,
     bessel_zeros,
     enumerate_modes,
     exclusion_check,
@@ -68,6 +70,7 @@ CASES = {
     "assoc_legendre_tower.m": (lambda v: assoc_legendre_tower(v, 5, 0.3), 2, DomainError),
     "assoc_legendre_tower.l_max": (lambda v: assoc_legendre_tower(1, v, 0.3), 4, DomainError),
     "gauss_legendre": (lambda v: gauss_legendre(v), 7, DomainError),
+    "RadialFunction.build": (lambda v: RadialFunction.build(v, 1.5, {0: 1.0}), 3, DomainError),
     "ModeIndex.m": (lambda v: ModeIndex("even", v, 3), 2, InvalidMode),
     "ModeIndex.l": (lambda v: ModeIndex("even", 0, v), 3, InvalidMode),
     "enumerate_modes": (lambda v: enumerate_modes(v), 3, InvalidMode),
@@ -188,6 +191,8 @@ def _bad_value_cases():
     cases += [("Vec3", lambda v: Vec3(v, 0, 0), bad) for bad in (None, "a", 1j)]
     cases += [("residual_fourth_order", lambda v: residual_fourth_order(2, 7.0, v, E3), bad) for bad in (np.array([0.5]), [0.5])]
     cases += [("RadialFunction", E3, bad) for bad in (np.array([0.5 + 1j]), np.array(["a"]))]
+    cases += [("RadialFunction.build", lambda v: RadialFunction.build(2, v, {0: 1.0}), bad) for bad in (None, "a", [1.0])]
+    cases += [("bessel_operator", lambda v: bessel_operator(E3, v), bad) for bad in (None, "a", [1.0])]
     return [pytest.param(call, bad, id=f"{name}-{bad!r}") for name, call, bad in cases]
 
 

@@ -393,6 +393,20 @@ def test_verify_single_suite_csv():
     assert lines[0].startswith("suite,")
 
 
+def test_verify_runs_a_repeated_suite_once(tmp_path):
+    # Named twice by flag or by config list, spot-values still runs its two
+    # checks once; the suites run in the order first named.
+    assert len(steklov_ball.run_suites(["spot-values", "spot-values"]).checks) == 2
+    order = [c.suite for c in steklov_ball.run_suites(["classical", "spot-values", "classical"]).checks]
+    assert order == ["classical"] * 3 + ["spot-values"] * 2
+    cfg = tmp_path / "twice.cfg"
+    cfg.write_text("suite=spot-values,spot-values\n")
+    for args in (["--suite", "spot-values", "--suite", "spot-values"], ["--config", str(cfg)]):
+        r = run_cli("verify", *args)
+        assert r.returncode == 0, r.stderr
+        assert json.loads(r.stdout)["counts"] == {"total": 2, "failed": 0}, args
+
+
 def test_verify_csv_quotes_the_names_that_hold_commas():
     # Every row parses into the five header fields, and the names are the
     # JSON report's, commas and all.

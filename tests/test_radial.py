@@ -232,3 +232,14 @@ def test_slope_term_where_j_l_underflows_is_refused():
     e3 = radial_profiles(RadialKind.COMPRESSIVE, 3, 5.0, 0.5).e3
     with pytest.raises(NotRepresentable):
         e3(1e-160)
+
+
+def test_radial_function_refuses_a_degree_outside_the_tower():
+    # A negative degree once read the tower's last entry (l = -1 gave
+    # j_1(0.5)) or raised a bare IndexError (l = -3); 201 is past the tower.
+    for l in (-1, -3, 201):
+        with pytest.raises(DomainError, match=rf"^degree l must be an integer in \[0, 200\], got {l}$"):
+            RadialFunction.build(l, 1.0, {0: 1.0})
+        with pytest.raises(DomainError):
+            RadialFunction.zero(l)
+    assert RadialFunction.build(0, 1.0, {0: 1.0})(0.5) == pytest.approx(sph_bessel_j(0, 0.5), rel=1e-15)

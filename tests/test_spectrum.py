@@ -7,6 +7,7 @@ an internal-consistency property that needs no external numbers.
 
 from __future__ import annotations
 
+import cmath
 import dataclasses
 import math
 import tracemalloc
@@ -46,9 +47,9 @@ from steklov_ball import (
     verify_weak_identity,
     zero_in_spectrum,
 )
-from steklov_ball import fd, kernel
+from steklov_ball import fd, kernel, specfun
 from steklov_ball.kernel import eigen_grid
-from steklov_ball.spectrum import _theta1_alt_rows
+from steklov_ball.spectrum import _theta1_alt
 
 # (l, k2, lambda2) -- mpmath, 40 digits
 LAMBDA2_ORACLE = [
@@ -290,17 +291,19 @@ def test_lambda1_theta1_alt_resonance():
 def test_theta1_alt_rows_equal_the_scalar_product_form():
     # The form-equivalence grid plus points within 1e-13 of zeros of j_2
     # (resonant at l = 1 as j_{l+1} and at l = 3 as j_{l-1}) and of j_6:
-    # the rows agree with lambda1_theta1_alt cell by cell and mark exactly
-    # the cells where it raises DirichletResonance.  (At a zero itself
-    # the tower may return j = 0, and both raise DomainError.)
+    # the suite's cells, read from one tower of order 11 per k2, agree
+    # with lambda1_theta1_alt and are resonant exactly where it raises
+    # DirichletResonance.  (At a zero itself the tower may return j = 0,
+    # and both raise DomainError.)
     planted = [(z * (1.0 + 1e-13)) ** 2 for l in (2, 6) for z in bessel_zeros(l, 2).roots]
-    k2s = np.concatenate([np.linspace(-50.0, 50.0, 101), planted])
-    k2s = k2s[k2s != 0.0]
-    values, resonant = _theta1_alt_rows(1, 10, k2s)
-    assert values.shape == resonant.shape == (10, k2s.size)
+    k2s = [k2 for k2 in np.linspace(-50.0, 50.0, 101).tolist() + planted if k2 != 0.0]
     skipped = 0
-    for l, row, row_resonant in zip(range(1, 11), values, resonant):
-        for k2, value, is_resonant in zip(k2s.tolist(), row, row_resonant):
+    for k2 in k2s:
+        k = cmath.sqrt(k2)
+        tab = specfun._tower(11, k)
+        for l in range(1, 11):
+            value, is_resonant = _theta1_alt(l, k2, k, tab)
+            assert type(value) is float and type(is_resonant) is bool, (l, k2)
             try:
                 want = lambda1_theta1_alt(l, k2)
             except DirichletResonance:
@@ -308,7 +311,7 @@ def test_theta1_alt_rows_equal_the_scalar_product_form():
                 skipped += 1
                 continue
             assert not is_resonant, (l, k2)
-            # The rows read a tower of order 11, a one-cell call one of
+            # The cell reads a tower of order 11, a one-cell call one of
             # order l + 1, which may take the other branch: the cells agree
             # to rounding, amplified by the condition number near a pole,
             # and absolutely near a zero of j_l (planted for j_6 at l = 6).

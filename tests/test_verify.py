@@ -23,3 +23,12 @@ def test_eigen_residuals_catch_a_wrong_eigenvalue(monkeypatch):
     report = run_suites(["eigen-residuals"])
     assert not report.passed
     assert [c.name for c in report.checks if not c.passed] == ["boundary condition, 40 modes x 3 points"]
+
+
+def test_l_max_caps_only_the_suites_that_read_it():
+    # --l-max 1 keeps degree 1 in the capped checks; asymptotics keeps its
+    # fixed degrees 30..50 (as do the divergence mode, the vector-Laplacian
+    # probes and the witness bookkeeping, whose names carry no degree).
+    names = [c.name for c in run_suites(l_max=1).checks]
+    for part in ("over 100 off-resonance points", "10 modes x 3 points", "2 modes", "l<=1", "l=30..50"):
+        assert any(part in name for name in names), part
