@@ -319,6 +319,30 @@ def test_theta1_alt_rows_equal_the_scalar_product_form():
     assert skipped >= 4
 
 
+@pytest.mark.parametrize("l,k2", [
+    (79, 0.3), (105, -7.0), (105, 5.0), (150, -1.3e5), (196, -2e5), (20, -4e5), (1, -4.9e5),
+])
+def test_theta1_alt_on_a_taller_tower_matches_the_one_cell_call(l, k2):
+    # Cells where the products would leave the double range: the helper
+    # fed a tower taller than the one-cell call's (up to order 200) gives
+    # the same value, whichever branch each tower takes.
+    k = cmath.sqrt(k2)
+    value, resonant = _theta1_alt(l, k2, k, specfun._tower(min(l + 10, 200), k))
+    assert not resonant
+    assert value == pytest.approx(lambda1_theta1_alt(l, k2), rel=1e-12), (l, k2)
+
+
+@pytest.mark.parametrize("l,k2", [(199, 1e-6), (199, 14.0), (150, 1.0), (3, -4.95e5), (1, -5e5)])
+def test_theta1_alt_on_a_taller_tower_raises_the_one_cell_error(l, k2):
+    # A factor that underflows, or |Im k| > 700: the tower and helper the
+    # form-equivalence suite uses raise the one-cell call's typed error.
+    with pytest.raises(DomainError) as one_cell:
+        lambda1_theta1_alt(l, k2)
+    k = cmath.sqrt(k2)
+    with pytest.raises(type(one_cell.value), match="not representable"):
+        _theta1_alt(l, k2, k, specfun._tower(min(l + 10, 200), k))
+
+
 MODE_GRID = [
     (1, "even", 0, 1, 1.0, 1.0),
     (1, "odd", 1, 2, -3.0, 2.0),
